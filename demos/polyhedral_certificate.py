@@ -5,7 +5,7 @@ Certified pairs on a custom polyhedral norm
 Any norm written as a sum of weighted maxima of |rows . x| works, not just
 the sup norm.  Here we build a two-block norm on R^3, solve for the dual
 pair, certify it, and cross-check the objective against the small-dimension
-grid oracle, which knows nothing about conditional gradients.
+grid oracle, which knows nothing about barriers or duality gaps.
 """
 
 import numpy as np

@@ -60,7 +60,7 @@ EXIT_MATRIX_SHAPE = 5
 
 _TOP_KEYS = {"norm", "alpha", "tolerances", "max_iterations", "candidate_w"}
 _NORM_KEYS = {"type", "dimension", "blocks"}
-_TOL_KEYS = {"weight", "gap", "certificate", "line_search"}
+_TOL_KEYS = {"weight", "gap", "certificate"}
 _NORM_TYPES = ("sup", "composite", "example1_tail", "example2")
 
 

@@ -48,13 +48,11 @@ class Tolerances:
     weight       : slack allowed in the sum-to-one check on weights
     gap          : duality gap at which the solver stops
     certificate  : bound every certificate residual must meet
-    line_search  : interval width at which golden-section search stops
     """
 
     weight: float = 1e-10
     gap: float = 1e-9
     certificate: float = 1e-6
-    line_search: float = 1e-12
 
 
 def as_vector(x) -> np.ndarray:

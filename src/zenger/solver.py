@@ -1,19 +1,17 @@
 """Weighted log-utility maximization over unit norm balls.
 
 Maximizes F(x) = sum_k alpha_k log|x_k| over the unit ball of a polyhedral
-norm by conditional gradient ascent.  The linear maximization oracle is the
-dual-norm LP, so the stopping gap <grad, s - x> is itself the certificate
-quantity: at an iterate x the gradient pairs with x to exactly sum(alpha) = 1,
-so the gap equals dual_norm(grad) - 1.
+norm.  Each iteration measures the duality gap <grad, s - x>, where s is
+the dual-norm LP's maximizer; at an iterate x the gradient pairs with x to
+exactly sum(alpha) = 1, so the gap equals dual_norm(grad) - 1 and is itself
+the certificate quantity (the Frank-Wolfe gap, as in Jaggi, "Revisiting
+Frank-Wolfe", ICML 2013).  The gap is the sole convergence criterion.
 
-Conditional gradient alone crawls when the optimum sits strictly inside a
-face of the ball (the classic zigzag between the face's vertices), so each
-iteration also polishes the iterate by following the log-barrier central
-path of the ball slice cut out by the iterate's orthant.  A polished point
-is accepted when it keeps the objective monotone, or, near the optimum
-where the objective is flat to machine precision, when its own freshly
-computed duality gap already meets the stopping tolerance.  The duality-gap
-stopping rule is unchanged and is the sole convergence criterion.
+While the gap is open, the iterate is polished by following the log-barrier
+central path of the ball slice cut out by its orthant, and the polished
+point replaces it only when it strictly raises F.  Iteration stops when the
+gap closes, or when the polish fails or cannot raise F; a gap still above
+ten times the tolerance then raises NonConvergence.
 
 The returned pair is rescaled to the unit sphere and the prices are the
 exact elementwise quotient phi_k = alpha_k / w_k.
@@ -129,39 +127,12 @@ def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return mid, fn(mid)
 
 
-def line_search(x, s, alpha, tol: float = 1e-12) -> float:
-    """Step size maximizing h(g) = sum alpha_k log|(1-g) x_k + g s_k|.
-
-    The search interval is capped at 0.99 of the first step at which any
-    coordinate of the blend crosses zero (and always below 1), so h stays
-    smooth and concave on it.  The returned step never decreases h relative
-    to staying put.
-    """
-    x = as_vector(x)
-    s = as_vector(s)
-    alpha = as_vector(alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = x / (x - s)
-    roots = roots[np.isfinite(roots) & (roots > 0.0)]
-    gamma_max = 1.0 - 1e-12
-    if roots.size:
-        gamma_max = min(gamma_max, 0.99 * float(np.min(roots)))
-    if gamma_max <= 0.0:
-        return 0.0
-
-    def h(g: float) -> float:
-        return log_utility(alpha, (1.0 - g) * x + g * s)
-
-    best, hbest = _golden_max(h, 0.0, gamma_max, tol)
-    for cand in (0.0, gamma_max):
-        hc = h(cand)
-        if hc > hbest:
-            best, hbest = cand, hc
-    return best
-
-
 def solve_zenger(problem: ZengerProblem) -> ZengerPair:
-    """Run conditional gradient ascent until the duality gap closes.
+    """Polish along the log-barrier central path until the duality gap closes.
+
+    Each iteration measures the LP duality gap, stops when it is at most
+    tol.gap, and otherwise replaces the iterate by its barrier polish.  The
+    loop also stops when the polish fails or does not strictly raise F.
 
     Parameters
     ----------
@@ -190,48 +161,28 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     x = ones / (2.0 * eval_norm(spec, ones))
     f = log_utility(alpha, x)
     trace = []
-    seen_refines: set[bytes] = set()
     converged = False
     gap = math.inf
     iterations = 0
 
     for iterations in range(1, problem.max_iterations + 1):
         grad = alpha / x
-        value, s = dual_norm_lmo(spec, grad, gens=gens)
+        value, _ = dual_norm_lmo(spec, grad, gens=gens)
         gap = value - float(grad @ x)
         trace.append((f, gap))
         if gap <= tol.gap:
             converged = True
             break
         refined = _barrier_refine(spec, U, alpha, x)
-        if refined is not None and np.any(refined != x):
-            fr = log_utility(alpha, refined)
-            key = refined.tobytes()
-            if fr >= f and key not in seen_refines:
-                seen_refines.add(key)
-                x, f = refined, fr
-                continue
-            if key not in seen_refines:
-                # near the optimum f is flat to machine precision and the
-                # polish may land an ulp below it; adopt such a point only
-                # when its own gap already meets the stopping rule, and
-                # keep it out of the monotone trace
-                gr = alpha / refined
-                vr, _ = dual_norm_lmo(spec, gr, gens=gens)
-                fresh = vr - float(gr @ refined)
-                if fresh <= tol.gap:
-                    x, f, gap = refined, fr, fresh
-                    converged = True
-                    break
-        step = line_search(x, s, alpha, tol.line_search)
-        y = (1.0 - step) * x + step * s
-        fy = log_utility(alpha, y)
-        if fy >= f and np.any(y != x):
-            x, f = y, fy
-        else:
-            # neither the polish nor the segment step moved x, and the
-            # iteration is deterministic, so no further step ever would
+        if refined is None:
             break
+        fr = log_utility(alpha, refined)
+        if not fr > f:
+            # the polish is deterministic, so a polish that cannot raise F
+            # from x never will; strict ascent also rules out revisiting a
+            # point
+            break
+        x, f = refined, fr
 
     if not converged:
         # the loop body may have moved x after the last gap measurement
@@ -489,9 +440,9 @@ def brute_force_zenger(
     directions, polish the best one by smoothing continuation with
     direction-set line maximization, then rescale to the unit sphere.
 
-    Like the main solver (whose iterates the line-search guard keeps in the
-    starting orthant), the search lives in the positive orthant; the
-    returned pair certifies stationarity there.
+    Like the main solver (whose iterates the barrier's fraction-to-boundary
+    rule keeps in the starting orthant), the search lives in the positive
+    orthant; the returned pair certifies stationarity there.
     """
     spec = problem.spec
     alpha = problem.alpha

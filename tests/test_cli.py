@@ -126,10 +126,12 @@ def test_solve_generator_blowup(tmp_path, capsys):
     {"norm": {"type": "example1_tail"}, "alpha": {"rule": "geometric",
                                                   "ratio": 0.5}},
     {"norm": {"type": "sup", "dimension": 3}, "alpha": [0.5, 0.5]},
+    {"norm": {"type": "sup", "dimension": 3}, "alpha": [0.2, 0.3, 0.5],
+     "tolerances": {"line_search": 1e-12}},
 ], ids=[
     "missing-alpha", "unknown-key", "bad-norm-type", "blocks-on-sup",
     "composite-without-blocks", "bad-tolerance", "tail-with-dimension",
-    "solve-on-tail-norm", "alpha-length-mismatch",
+    "solve-on-tail-norm", "alpha-length-mismatch", "line-search-tolerance",
 ])
 def test_solve_parse_failures(tmp_path, capsys, doc):
     assert main(["solve", write_problem(tmp_path, doc)]) == 2

@@ -19,7 +19,6 @@ def test_default_tolerances():
     assert tol.weight == 1e-10
     assert tol.gap == 1e-9
     assert tol.certificate == 1e-6
-    assert tol.line_search == 1e-12
 
 
 def test_as_vector_rejects_bad_shapes():
