@@ -88,6 +88,9 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
     Leaving variable: minimum ratio, ties broken by lowest basis index.
     Raises :class:`MaxPivotsExceeded` or :class:`NumericalBreakdown`;
     infeasible and unbounded problems are reported through ``status``.
+
+    The returned point is the optimal basic point the pivots reach; it is
+    a vertex of the feasible region whenever the optimum is unique.
     """
     c = np.asarray(lp.objective, dtype=float)
     A = np.asarray(lp.lhs, dtype=float)
@@ -173,53 +176,9 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
         elif j < 2 * n:
             x[j - n] -= T[i, -1]
 
-    x = _crash_to_vertex(A, b, c, x)
     value = float(c @ x)
     active = np.nonzero(b - A @ x <= ACTIVE_EPS * (1.0 + np.abs(b)))[0]
     return LPResult(OPTIMAL, value, x, active)
-
-
-def _crash_to_vertex(A, b, c, x):
-    """Slide along the optimal face until n independent constraints bind.
-
-    At an optimum the objective lies in the span of the active rows, so any
-    null direction of those rows keeps the value constant.  Each pass either
-    reaches full rank or adds one active constraint; directions that change
-    the objective or never hit a constraint are left alone.
-    """
-    m, n = A.shape
-    cnorm = 1.0 + float(np.linalg.norm(c))
-    for _ in range(n):
-        act = np.nonzero(b - A @ x <= ACTIVE_EPS * (1.0 + np.abs(b)))[0]
-        rows = A[act] if act.size else np.zeros((0, n))
-        _, sv, vt = np.linalg.svd(rows) if act.size else (None, np.zeros(0), np.eye(n))
-        rank = int(np.sum(sv > 1e-10))
-        if rank >= n:
-            break
-        d = vt[rank]
-        nz = np.nonzero(np.abs(d) > 1e-12)[0]
-        if nz.size == 0:
-            break
-        if d[nz[0]] < 0:
-            d = -d
-        if abs(float(c @ d)) > 1e-9 * cnorm:
-            break
-        moved = False
-        for direction in (d, -d):
-            Ad = A @ direction
-            slack = b - A @ x
-            pos = np.nonzero(Ad > 1e-12)[0]
-            if pos.size == 0:
-                continue
-            t = float(np.min(slack[pos] / Ad[pos]))
-            if t > 1e13:
-                continue
-            x = x + max(t, 0.0) * direction
-            moved = True
-            break
-        if not moved:
-            break
-    return x
 
 
 def brute_force_vertices(lp: LinearProgram) -> tuple[float, np.ndarray]:

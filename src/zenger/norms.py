@@ -133,8 +133,8 @@ NormSpec = SupNorm | CompositeNorm | Example2Norm | Example1TailNorm
 class GeneratorSet:
     """Support functionals u_i with norm(x) = max_i <u_i, x>.
 
-    The list is sign symmetric and may repeat functionals when a block row
-    is null; duplicates keep the count at prod_j (2 rows_j)."""
+    The rows are distinct, sign symmetric and sorted; there are at most
+    prod_j (2 rows_j) of them, fewer when sums of block rows coincide."""
 
     functionals: np.ndarray
 
@@ -276,15 +276,16 @@ def eval_norm_many(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     return total
 
 
-def generators(spec: NormSpec, limit: int = GENERATOR_LIMIT) -> GeneratorSet:
-    """Expand the sign and row choices of every block into the full set of
-    support functionals.  The count is prod_j (2 * rows_j); anything past
-    ``limit`` raises :class:`GeneratorBlowup` before allocating."""
+def generators(spec: NormSpec) -> GeneratorSet:
+    """Expand the sign and row choices of every block into the distinct,
+    sorted support functionals.  The expansion has prod_j (2 * rows_j) rows
+    before duplicates are dropped; a product past ``GENERATOR_LIMIT``
+    raises :class:`GeneratorBlowup` before anything is allocated."""
     blocks = _blocks_of(spec)
     count = math.prod(2 * blk.matrix.shape[0] for blk in blocks)
-    if count > limit:
+    if count > GENERATOR_LIMIT:
         raise GeneratorBlowup(
-            f"{count} support functionals exceed the cap of {limit}"
+            f"{count} support functionals exceed the cap of {GENERATOR_LIMIT}"
         )
     n = blocks[0].matrix.shape[1]
     combos = np.zeros((1, n))
@@ -292,20 +293,23 @@ def generators(spec: NormSpec, limit: int = GENERATOR_LIMIT) -> GeneratorSet:
         scaled = blk.coef * blk.matrix
         step = np.concatenate([scaled, -scaled])
         combos = (combos[:, None, :] + step[None, :, :]).reshape(-1, n)
+    combos = np.unique(combos, axis=0)
     combos.setflags(write=False)
     return GeneratorSet(combos)
 
 
 def dual_norm_lmo(spec: NormSpec, g, *, gens: GeneratorSet | None = None) -> DualEval:
-    """Dual-norm evaluation: value and maximizer of <g, x> over the unit ball.
+    """Dual-norm evaluation: value and a maximizer of <g, x> over the unit ball.
 
-    Solved as the LP over the generator constraints <u_i, x> <= 1.  Passing a
-    precomputed generator set skips re-expansion on repeated calls.
+    Solved as the LP over the generator constraints <u_i, x> <= 1.  The
+    maximizer is the simplex's optimal basic point: a vertex of the ball
+    when the maximizer is unique, otherwise some point of the optimal face.
+    Passing a precomputed generator set skips re-expansion on repeated calls.
     """
     v = _check_dense(spec, g)
     if gens is None:
         gens = generators(spec)
-    U = np.unique(gens.functionals, axis=0)  # same constraint set, fewer rows
+    U = gens.functionals
     program = _lp.LinearProgram(v, U, np.ones(U.shape[0]))
     try:
         result = _lp.solve_lp(program)
@@ -316,7 +320,7 @@ def dual_norm_lmo(spec: NormSpec, g, *, gens: GeneratorSet | None = None) -> Dua
     return DualEval(result.value, result.point)
 
 
-def projection_norm(spec: NormSpec, N: int, *, gens: GeneratorSet | None = None) -> float:
+def projection_norm(spec: NormSpec, N: int) -> float:
     """Operator norm of the truncation projection P_N on this normed space.
 
     Since P_N is diagonal, sup over the ball of norm(P_N x) equals the
@@ -324,8 +328,7 @@ def projection_norm(spec: NormSpec, N: int, *, gens: GeneratorSet | None = None)
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if gens is None:
-        gens = generators(spec)
+    gens = generators(spec)
     V = gens.functionals.copy()
     V[:, N:] = 0.0
     V = _canonical_rows(V)
@@ -348,15 +351,14 @@ def _canonical_rows(V: np.ndarray) -> np.ndarray:
     return np.unique(V, axis=0)
 
 
-def equivalence_constants(spec: NormSpec, *, gens: GeneratorSet | None = None) -> EquivalenceConstants:
+def equivalence_constants(spec: NormSpec) -> EquivalenceConstants:
     """Best constants relating the norm to the sup norm.
 
     Upper: the norm of a sign vector matching u_i is ||u_i||_1, so the max
     over functionals is attained.  Lower: the largest coordinate functional
     on the unit ball is max_k dual_norm(e_k).
     """
-    if gens is None:
-        gens = generators(spec)
+    gens = generators(spec)
     U = gens.functionals
     upper = float(np.max(np.sum(np.abs(U), axis=1)))
     n = U.shape[1]

@@ -60,10 +60,10 @@ class HullCheck(NamedTuple):
 
 
 def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a non-empty square complex matrix with finite entries."""
     A = np.asarray(entries, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix entries must be finite")
     return A
@@ -121,7 +121,7 @@ def jacobi_eigen(H) -> np.ndarray:
     Raises NotHermitian when max |H - H*| exceeds 1e-12.
     """
     H = as_complex_matrix(H)
-    defect = float(np.max(np.abs(H - np.conj(H.T)))) if H.size else 0.0
+    defect = float(np.max(np.abs(H - np.conj(H.T))))
     if defect > HERMITIAN_TOL:
         raise NotHermitian(f"max |H - H*| = {defect:.3e}")
     return _jacobi_batch(H[None, :, :])[0]

@@ -65,6 +65,8 @@ def test_result_point_is_feasible_and_consistent():
 
 
 def test_result_point_is_a_vertex():
+    # generic objectives make the optimum unique, and a unique optimum is
+    # a vertex
     rng = np.random.default_rng(22)
     for _ in range(100):
         lp = random_symmetric_lp(rng)

@@ -21,7 +21,7 @@ from zenger import (
     project_PN,
     projection_norm,
 )
-from zenger.lp import LinearProgram
+from zenger.lp import BRUTE_MAX_CONSTRAINTS, LinearProgram
 
 
 def cascade_oracle(x):
@@ -126,7 +126,13 @@ def test_generator_counts_and_values():
     gens = generators(CompositeNorm(((2.0, np.array([[1.0]])),)))
     assert {tuple(r) for r in gens.functionals} == {(2.0,), (-2.0,)}
 
-    assert len(generators(Example2Norm(2))) == 16
+    # the null first row of the second block repeats 4 of the 16 sums
+    assert len(generators(Example2Norm(2))) == 12
+
+    rng = np.random.default_rng(33)
+    for spec in (SupNorm(3), Example2Norm(4), random_composite(rng, 3)):
+        U = generators(spec).functionals
+        assert np.array_equal(U, np.unique(U, axis=0))  # distinct and sorted
 
 
 def test_generator_faithfulness():
@@ -157,8 +163,6 @@ def test_generator_blowup_guard():
                    for _ in range(3))
     with pytest.raises(GeneratorBlowup):
         generators(CompositeNorm(blocks))  # (2*51)^3 > 10^6
-    with pytest.raises(GeneratorBlowup):
-        generators(Example2Norm(2), limit=8)
 
 
 def test_rank_deficient_block_stack_rejected():
@@ -196,6 +200,24 @@ def test_dual_norm_achiever_feasible():
         assert eval_norm(spec, achiever) <= 1.0 + 1e-9
         assert value == pytest.approx(float(g @ achiever), abs=1e-10)
 
+    # objectives whose maximizer is a whole face: a coordinate and zero on
+    # the sup ball, and the projected generator rows projection_norm feeds in
+    faces = [(SupNorm(3), np.array([1.0, 0.0, 0.0])), (SupNorm(3), np.zeros(3))]
+    for spec in (Example2Norm(2), Example2Norm(4)):
+        V = generators(spec).functionals.copy()
+        V[:, -1] = 0.0
+        faces += [(spec, g) for g in np.unique(V, axis=0)]
+    for spec, g in faces:
+        value, achiever = dual_norm_lmo(spec, g)
+        assert eval_norm(spec, achiever) <= 1.0 + 1e-9
+        assert value == pytest.approx(float(g @ achiever), abs=1e-12)
+        U = generators(spec).functionals
+        if U.shape[0] <= BRUTE_MAX_CONSTRAINTS:
+            oracle, _ = brute_force_vertices(
+                LinearProgram(g, U, np.ones(U.shape[0]))
+            )
+            assert abs(value - oracle) <= 1e-9
+
 
 def test_dual_norm_against_vertex_enumeration():
     # instances small enough for the exhaustive oracle
@@ -204,7 +226,7 @@ def test_dual_norm_against_vertex_enumeration():
              CompositeNorm(((1.5, rng.normal(size=(2, 2)) + np.eye(2)),))]
     for spec in specs:
         gens = generators(spec)
-        U = np.unique(gens.functionals, axis=0)
+        U = gens.functionals
         for _ in range(40):
             g = rng.normal(size=U.shape[1])
             value, _ = dual_norm_lmo(spec, g, gens=gens)

@@ -153,8 +153,9 @@ def test_support_curve_validates_shapes():
 
 
 def test_as_complex_matrix_errors():
-    with pytest.raises(ValueError):
-        as_complex_matrix(np.zeros((2, 3)))
+    for shape in ((2, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            as_complex_matrix(np.zeros(shape))
     with pytest.raises(ValueError):
         as_complex_matrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     A = as_complex_matrix([[1.0, 2.0], [3.0, 4.0]])
