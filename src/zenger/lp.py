@@ -2,9 +2,13 @@
 
 Problems are stated as: maximize <c, x> subject to A x <= b with x free.
 Free variables are split as x = u - v, slacks make rows equalities, and rows
-with negative right-hand side get a big-M artificial.  No presolve; every
-pivot updates the full tableau.  Deterministic by construction, so repeated
-runs give bit-identical answers.
+with negative right-hand side get a big-M artificial.  No presolve.  Each
+pivot updates only the columns where the normalised pivot row is nonzero:
+for a zero entry the rank-1 update subtracts an exact zero, which leaves a
+finite column unchanged (at most a -0.0 becomes +0.0, which no comparison,
+ratio or extracted point can see), so the pivots and results are those of
+the full-tableau update, bit for bit.  Deterministic by construction, so
+repeated runs give bit-identical answers.
 """
 
 from __future__ import annotations
@@ -90,7 +94,9 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
     infeasible and unbounded problems are reported through ``status``.
 
     The returned point is the optimal basic point the pivots reach; it is
-    a vertex of the feasible region whenever the optimum is unique.
+    a vertex of the feasible region whenever the optimum is unique.  A
+    pivot costs O(m * support) for m rows, where support is the number of
+    nonzeros in the normalised pivot row.
     """
     c = np.asarray(lp.objective, dtype=float)
     A = np.asarray(lp.lhs, dtype=float)
@@ -145,7 +151,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
                 raise NumericalBreakdown(
                     f"pivot column {e} has only entries below {PIVOT_EPS}"
                 )
-            if k and np.any(T[np.isin(basis, range(2 * n + m, ncols)), -1] > 1e-7):
+            if k and np.any(T[basis >= 2 * n + m, -1] > 1e-7):
                 return LPResult(INFEASIBLE, float("nan"), None, None)
             return LPResult(UNBOUNDED, float("inf"), None, None)
         ratios = T[eligible, -1] / col[eligible]
@@ -156,16 +162,17 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
         if abs(piv) < PIVOT_EPS:
             raise NumericalBreakdown(f"pivot magnitude {abs(piv):.3e}")
         T[r] /= piv
+        nz = np.flatnonzero(T[r])
         colvals = T[:, e].copy()
         colvals[r] = 0.0
-        T -= np.outer(colvals, T[r])
-        z -= z[e] * T[r]
+        T[:, nz] -= np.outer(colvals, T[r, nz])
+        z[nz] -= z[e] * T[r, nz]
         basis[r] = e
     else:
         raise MaxPivotsExceeded(f"no optimum within {max_pivots} pivots")
 
     if k:
-        art_level = T[np.isin(basis, range(2 * n + m, ncols)), -1]
+        art_level = T[basis >= 2 * n + m, -1]
         if art_level.size and np.max(art_level) > 1e-7:
             return LPResult(INFEASIBLE, float("nan"), None, None)
 

@@ -183,14 +183,15 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
             # point
             break
         x, f = refined, fr
-
-    if not converged:
-        # the loop body may have moved x after the last gap measurement
+    else:
+        # reached only when the budget ran out right after a polish moved
+        # x; every break leaves x at the point whose gap was just measured
         grad = alpha / x
         value, _ = dual_norm_lmo(spec, grad, gens=gens)
         gap = value - float(grad @ x)
-        if gap > 10.0 * tol.gap:
-            raise NonConvergence(gap)
+
+    if not converged and gap > 10.0 * tol.gap:
+        raise NonConvergence(gap)
 
     w = x / eval_norm(spec, x)
     phi = alpha / w

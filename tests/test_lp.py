@@ -5,13 +5,18 @@ from zenger import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    Example2Norm,
     LinearProgram,
     LPError,
+    LPResult,
     MaxPivotsExceeded,
+    NumericalBreakdown,
     TooLarge,
     brute_force_vertices,
+    generators,
     solve_lp,
 )
+from zenger.lp import ACTIVE_EPS, COST_EPS, PIVOT_EPS, default_pivot_cap
 
 
 def box_lp():
@@ -137,3 +142,143 @@ def test_program_validation():
         LinearProgram(np.ones(2), np.ones((3, 3)), np.ones(3))
     with pytest.raises(ValueError):
         LinearProgram(np.ones(1), np.array([[np.inf]]), np.ones(1))
+
+
+def _full_update_simplex(lp, max_pivots=None):
+    # reference pivot loop that rewrites the whole tableau on every pivot;
+    # solve_lp must follow the same pivot path to the same bits
+    c = np.asarray(lp.objective, dtype=float)
+    A = np.asarray(lp.lhs, dtype=float)
+    b = np.asarray(lp.rhs, dtype=float)
+    m, n = A.shape
+    if max_pivots is None:
+        max_pivots = default_pivot_cap(m, n)
+
+    neg = b < 0
+    flip = np.where(neg, -1.0, 1.0)
+    A2 = A * flip[:, None]
+    b2 = b * flip
+    art_rows = np.nonzero(neg)[0]
+    k = art_rows.size
+
+    ncols = 2 * n + m + k
+    T = np.zeros((m, ncols + 1))
+    T[:, :n] = A2
+    T[:, n:2 * n] = -A2
+    T[np.arange(m), 2 * n + np.arange(m)] = flip
+    for j, i in enumerate(art_rows):
+        T[i, 2 * n + m + j] = 1.0
+    T[:, -1] = b2
+
+    cost = np.zeros(ncols)
+    cost[:n] = c
+    cost[n:2 * n] = -c
+    big_m = 1e7 * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+    cost[2 * n + m:] = -big_m
+
+    basis = 2 * n + np.arange(m)
+    if k:
+        basis[art_rows] = 2 * n + m + np.arange(k)
+
+    z = -cost.copy()
+    z = np.append(z, 0.0)
+    for i in art_rows:
+        z += big_m * T[i]
+
+    for _ in range(max_pivots):
+        improving = np.nonzero(z[:-1] < -COST_EPS)[0]
+        if improving.size == 0:
+            break
+        e = int(improving[0])
+        col = T[:, e]
+        eligible = np.nonzero(col > PIVOT_EPS)[0]
+        if eligible.size == 0:
+            if np.any(col > 0):
+                raise NumericalBreakdown(
+                    f"pivot column {e} has only entries below {PIVOT_EPS}"
+                )
+            if k and np.any(T[np.isin(basis, range(2 * n + m, ncols)), -1] > 1e-7):
+                return LPResult(INFEASIBLE, float("nan"), None, None)
+            return LPResult(UNBOUNDED, float("inf"), None, None)
+        ratios = T[eligible, -1] / col[eligible]
+        best = np.min(ratios)
+        tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        r = int(tied[np.argmin(basis[tied])])
+        piv = T[r, e]
+        if abs(piv) < PIVOT_EPS:
+            raise NumericalBreakdown(f"pivot magnitude {abs(piv):.3e}")
+        T[r] /= piv
+        colvals = T[:, e].copy()
+        colvals[r] = 0.0
+        T -= np.outer(colvals, T[r])
+        z -= z[e] * T[r]
+        basis[r] = e
+    else:
+        raise MaxPivotsExceeded(f"no optimum within {max_pivots} pivots")
+
+    if k:
+        art_level = T[np.isin(basis, range(2 * n + m, ncols)), -1]
+        if art_level.size and np.max(art_level) > 1e-7:
+            return LPResult(INFEASIBLE, float("nan"), None, None)
+
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] += T[i, -1]
+        elif j < 2 * n:
+            x[j - n] -= T[i, -1]
+
+    value = float(c @ x)
+    active = np.nonzero(b - A @ x <= ACTIVE_EPS * (1.0 + np.abs(b)))[0]
+    return LPResult(OPTIMAL, value, x, active)
+
+
+def _outcome(solve, lp):
+    # everything a caller can observe, as bytes where it is a float
+    try:
+        result = solve(lp)
+    except LPError as exc:
+        return type(exc), str(exc)
+    point = None if result.point is None else result.point.tobytes()
+    active = None if result.active_set is None else result.active_set.tobytes()
+    return result.status, np.float64(result.value).tobytes(), point, active
+
+
+def random_mixed_lp(rng):
+    # small LPs of every outcome: rounded entries make ties and degenerate
+    # vertices, negative right-hand sides take the big-M artificial path,
+    # unit objectives make optimal faces, and nothing keeps the region
+    # bounded or nonempty
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 31))
+    A = rng.normal(size=(m, n))
+    if rng.random() < 0.5:
+        A = np.round(A)
+    b = rng.uniform(-0.5, 2.0, size=m)
+    if rng.random() < 0.5:
+        b = np.round(b)
+    if rng.random() < 0.3:
+        c = np.zeros(n)
+        c[int(rng.integers(n))] = 1.0
+    else:
+        c = rng.normal(size=n)
+    return LinearProgram(c, A, b)
+
+
+def test_pivot_path_matches_full_tableau_update():
+    rng = np.random.default_rng(25)
+    lps = [random_mixed_lp(rng) for _ in range(500)]
+    # the dual-norm LPs of the ||P_N|| table: projected generator rows of
+    # Example2Norm(4) as objectives over its generator set
+    U = generators(Example2Norm(4)).functionals
+    for N in range(1, 4):
+        V = U.copy()
+        V[:, N:] = 0.0
+        lps += [LinearProgram(g, U, np.ones(U.shape[0]))
+                for g in np.unique(V, axis=0)]
+    seen = set()
+    for lp in lps:
+        got = _outcome(solve_lp, lp)
+        assert got == _outcome(_full_update_simplex, lp)
+        seen.add(got[0])
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen

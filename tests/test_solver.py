@@ -175,23 +175,20 @@ def test_scale_invariance():
         assert abs(g1 - g2) <= 1e-9
 
 
-def test_nonconvergence_is_raised():
+def one_iteration_problem():
     # an unreachable gap tolerance turns finite termination into the error;
     # one iteration is not enough here because the optimum sits in a
     # different orthant than the starting point, so the gap stays positive
     rng = np.random.default_rng(0)
-    problem = ZengerProblem(
+    return ZengerProblem(
         spec=random_composite(rng, 4),
         alpha=random_alpha(rng, 4),
         tol=Tolerances(gap=1e-300),
         max_iterations=1,
     )
-    with pytest.raises(NonConvergence) as exc:
-        solve_zenger(problem)
-    assert exc.value.gap > 0.0
 
 
-def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
+def stalled_instance():
     # columns scaled over six decades and one weight shrunk by 1e-6: the
     # barrier polish stalls far from the optimum with the gap still open,
     # and the stall is reported as non-convergence rather than returned as
@@ -207,6 +204,19 @@ def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
     alpha = rng.uniform(0.1, 1.0, size=n)
     alpha[0] *= 1e-6
     alpha /= alpha.sum()
+    return blocks, alpha
+
+
+def test_nonconvergence_is_raised():
+    problem = one_iteration_problem()
+    with pytest.raises(NonConvergence) as exc:
+        solve_zenger(problem)
+    assert exc.value.gap > 0.0
+
+
+def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
+    blocks, alpha = stalled_instance()
+    n = alpha.size
     with pytest.raises(NonConvergence):
         solve_zenger(ZengerProblem(spec=CompositeNorm(tuple(blocks)),
                                    alpha=alpha))
@@ -223,6 +233,32 @@ def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["solve", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_gap_is_measured_once_per_point(monkeypatch):
+    # the tail re-measure runs only when the iteration budget ran out right
+    # after a polish moved x; a stalled polish leaves x at the point whose
+    # gap the loop just measured
+    calls = []
+
+    def counting_lmo(*args, **kwargs):
+        calls.append(args[1].copy())
+        return dual_norm_lmo(*args, **kwargs)
+
+    monkeypatch.setattr("zenger.solver.dual_norm_lmo", counting_lmo)
+
+    blocks, alpha = stalled_instance()
+    with pytest.raises(NonConvergence):
+        solve_zenger(ZengerProblem(spec=CompositeNorm(tuple(blocks)),
+                                   alpha=alpha))
+    assert len(calls) == 2
+
+    calls.clear()
+    with pytest.raises(NonConvergence):
+        solve_zenger(one_iteration_problem())
+    # the polish moved x, so the second call sees a new gradient
+    assert len(calls) == 2
+    assert not np.array_equal(calls[0], calls[1])
 
 
 def test_brute_force_closed_forms():
