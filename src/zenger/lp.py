@@ -134,10 +134,12 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
         basis[art_rows] = 2 * n + m + np.arange(k)
 
     # z holds cost_B B^-1 N - cost; optimal when every entry >= -COST_EPS.
+    # The artificials start basic at cost -M, so each of their rows enters
+    # z with weight -M.
     z = -cost.copy()
     z = np.append(z, 0.0)
     for i in art_rows:
-        z += big_m * T[i]
+        z -= big_m * T[i]
 
     for _ in range(max_pivots):
         improving = np.nonzero(z[:-1] < -COST_EPS)[0]

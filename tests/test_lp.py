@@ -183,7 +183,7 @@ def _full_update_simplex(lp, max_pivots=None):
     z = -cost.copy()
     z = np.append(z, 0.0)
     for i in art_rows:
-        z += big_m * T[i]
+        z -= big_m * T[i]
 
     for _ in range(max_pivots):
         improving = np.nonzero(z[:-1] < -COST_EPS)[0]
@@ -282,3 +282,54 @@ def test_pivot_path_matches_full_tableau_update():
         assert got == _outcome(_full_update_simplex, lp)
         seen.add(got[0])
     assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen
+
+
+def test_big_m_phase_matches_highs():
+    # an independent solver on the same 500 LPs; the two unbounded LPs
+    # with a negative right-hand side that big-M still reads as infeasible
+    # (M too small for them) are left out by taking only HiGHS's optimal
+    # and infeasible verdicts
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(25)
+    statuses = {0: OPTIMAL, 2: INFEASIBLE}
+    artificial = 0
+    for lp in [random_mixed_lp(rng) for _ in range(500)]:
+        ref = optimize.linprog(-lp.objective, A_ub=lp.lhs, b_ub=lp.rhs,
+                               bounds=(None, None), method="highs")
+        if ref.status not in statuses:
+            continue
+        result = solve_lp(lp)
+        assert result.status == statuses[ref.status]
+        if result.status == OPTIMAL:
+            assert abs(result.value + ref.fun) <= 1e-7
+        artificial += bool(np.any(lp.rhs < 0))
+    assert artificial == 181
+
+
+def test_big_m_phase_matches_vertex_enumeration():
+    # the LPs with a negative right-hand side, boxed into |x_i| <= 10 so the
+    # region is bounded: every vertex enumeration that finds a feasible
+    # vertex must match the simplex optimum, and every one that finds none
+    # must match an infeasible verdict
+    rng = np.random.default_rng(25)
+    seen = set()
+    for lp in [random_mixed_lp(rng) for _ in range(500)]:
+        n, m = lp.objective.size, lp.rhs.size
+        if not np.any(lp.rhs < 0) or m + 2 * n > 24:
+            continue
+        boxed = LinearProgram(
+            lp.objective,
+            np.vstack([lp.lhs, np.eye(n), -np.eye(n)]),
+            np.concatenate([lp.rhs, np.full(2 * n, 10.0)]),
+        )
+        result = solve_lp(boxed)
+        try:
+            value, _ = brute_force_vertices(boxed)
+        except LPError as exc:
+            assert str(exc) == "no feasible vertex found"
+            assert result.status == INFEASIBLE
+        else:
+            assert result.status == OPTIMAL
+            assert abs(result.value - value) <= 1e-9 * (1.0 + abs(value))
+        seen.add(result.status)
+    assert seen == {OPTIMAL, INFEASIBLE}

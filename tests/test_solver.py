@@ -24,6 +24,7 @@ from zenger import (
     log_utility,
     solve_zenger,
 )
+import zenger.solver
 from zenger.cli import main
 
 
@@ -259,6 +260,40 @@ def test_gap_is_measured_once_per_point(monkeypatch):
     # the polish moved x, so the second call sees a new gradient
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
+
+
+def test_barrier_polish_step_budget(monkeypatch):
+    # the 50 criterion-1 instances: primal-dual Newton steps (weight y / s
+    # with multiplier estimates y) need 33-46 solves per polish, where the
+    # primal weight mu / s**2 needed 88-113, mostly short steps right after
+    # each cut of mu
+    solves = []
+    steps = []
+    real_solve = np.linalg.solve
+    real_refine = zenger.solver._barrier_refine
+
+    def counting_solve(*args, **kwargs):
+        solves.append(None)
+        return real_solve(*args, **kwargs)
+
+    def counting_refine(*args, **kwargs):
+        before = len(solves)
+        result = real_refine(*args, **kwargs)
+        steps.append(len(solves) - before)
+        return result
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(zenger.solver, "_barrier_refine", counting_refine)
+
+    rng = np.random.default_rng(101)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        problem = ZengerProblem(spec=random_composite(rng, n),
+                                alpha=random_alpha(rng, n))
+        pair = solve_zenger(problem)
+        assert certify(pair, problem).ok
+    assert steps
+    assert max(steps) <= 60
 
 
 def test_brute_force_closed_forms():
