@@ -90,7 +90,7 @@ class CompositeNorm:
             if blk.matrix.shape[1] != n:
                 raise DimensionMismatch("blocks disagree on dimension")
         stacked = np.vstack([blk.matrix for blk in entries])
-        if _column_rank(stacked) < n:
+        if np.linalg.matrix_rank(stacked, tol=RANK_TOL) < n:
             raise RankDeficientNorm(
                 "stacked block rows are column rank deficient"
             )
@@ -125,21 +125,7 @@ class Example1TailNorm:
     """sup |x_k| + limsup |x_k| on eventually constant sequences."""
 
 
-PolyhedralSpec = (SupNorm, CompositeNorm, Example2Norm)
 NormSpec = SupNorm | CompositeNorm | Example2Norm | Example1TailNorm
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Support functionals u_i with norm(x) = max_i <u_i, x>.
-
-    The rows are distinct, sign symmetric and sorted; there are at most
-    prod_j (2 rows_j) of them, fewer when sums of block rows coincide."""
-
-    functionals: np.ndarray
-
-    def __len__(self) -> int:
-        return self.functionals.shape[0]
 
 
 class DualEval(NamedTuple):
@@ -155,33 +141,10 @@ class EquivalenceConstants:
     C_upper: float
 
 
-def _column_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Column rank by Gaussian elimination with partial pivoting; pivots at
-    or below ``tol`` in magnitude do not count."""
-    A = np.array(M, dtype=float)
-    rows, cols = A.shape
-    rank = 0
-    for j in range(cols):
-        if rank >= rows:
-            break
-        p = rank + int(np.argmax(np.abs(A[rank:, j])))
-        if abs(A[p, j]) <= tol:
-            continue
-        if p != rank:
-            A[[rank, p]] = A[[p, rank]]
-        A[rank] = A[rank] / A[rank, j]
-        others = np.arange(rows) != rank
-        A[others] -= np.outer(A[others, j], A[rank])
-        rank += 1
-    return rank
-
-
 def norm_dimension(spec: NormSpec) -> int | None:
     """Ambient dimension for dense vectors, or None when the norm acts only
     on sequences."""
-    if isinstance(spec, (SupNorm, Example2Norm)):
-        return spec.dimension
-    if isinstance(spec, CompositeNorm):
+    if isinstance(spec, (SupNorm, CompositeNorm, Example2Norm)):
         return spec.dimension
     if isinstance(spec, Example1TailNorm):
         return None
@@ -236,16 +199,8 @@ def eval_norm(spec: NormSpec, x) -> float:
             "this norm needs a TailVector with an explicit tail constant"
         )
     v = _check_dense(spec, x)
-    if isinstance(spec, SupNorm):
-        return float(np.max(np.abs(v)))
-    if isinstance(spec, Example2Norm):
-        term1 = float(np.max(np.abs(v)))
-        if v.size == 1:
-            return term1
-        diffs = v[1:] - v[0] * spec.weights[1:]
-        return term1 + float(np.max(np.abs(diffs)))
     total = 0.0
-    for blk in spec.blocks:
+    for blk in _blocks_of(spec):
         total += blk.coef * float(np.max(np.abs(blk.matrix @ v)))
     return total
 
@@ -276,11 +231,14 @@ def eval_norm_many(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     return total
 
 
-def generators(spec: NormSpec) -> GeneratorSet:
-    """Expand the sign and row choices of every block into the distinct,
-    sorted support functionals.  The expansion has prod_j (2 * rows_j) rows
-    before duplicates are dropped; a product past ``GENERATOR_LIMIT``
-    raises :class:`GeneratorBlowup` before anything is allocated."""
+def generators(spec: NormSpec) -> np.ndarray:
+    """Support functionals u_i with norm(x) = max_i <u_i, x>, as the rows of
+    a read-only array.
+
+    Expanding the sign and row choices of every block gives prod_j
+    (2 * rows_j) rows; the distinct ones are returned, sign symmetric and
+    sorted.  A product past ``GENERATOR_LIMIT`` raises
+    :class:`GeneratorBlowup` before anything is allocated."""
     blocks = _blocks_of(spec)
     count = math.prod(2 * blk.matrix.shape[0] for blk in blocks)
     if count > GENERATOR_LIMIT:
@@ -295,21 +253,20 @@ def generators(spec: NormSpec) -> GeneratorSet:
         combos = (combos[:, None, :] + step[None, :, :]).reshape(-1, n)
     combos = np.unique(combos, axis=0)
     combos.setflags(write=False)
-    return GeneratorSet(combos)
+    return combos
 
 
-def dual_norm_lmo(spec: NormSpec, g, *, gens: GeneratorSet | None = None) -> DualEval:
+def dual_norm_lmo(spec: NormSpec, g, *, gens: np.ndarray | None = None) -> DualEval:
     """Dual-norm evaluation: value and a maximizer of <g, x> over the unit ball.
 
     Solved as the LP over the generator constraints <u_i, x> <= 1.  The
     maximizer is the simplex's optimal basic point: a vertex of the ball
     when the maximizer is unique, otherwise some point of the optimal face.
-    Passing a precomputed generator set skips re-expansion on repeated calls.
+    Passing the precomputed ``generators(spec)`` skips re-expansion on
+    repeated calls.
     """
     v = _check_dense(spec, g)
-    if gens is None:
-        gens = generators(spec)
-    U = gens.functionals
+    U = generators(spec) if gens is None else gens
     program = _lp.LinearProgram(v, U, np.ones(U.shape[0]))
     try:
         result = _lp.solve_lp(program)
@@ -329,7 +286,7 @@ def projection_norm(spec: NormSpec, N: int) -> float:
     if N < 1:
         raise ValueError("N must be at least 1")
     gens = generators(spec)
-    V = gens.functionals.copy()
+    V = gens.copy()
     V[:, N:] = 0.0
     V = _canonical_rows(V)
     best = 0.0
@@ -358,11 +315,10 @@ def equivalence_constants(spec: NormSpec) -> EquivalenceConstants:
     over functionals is attained.  Lower: the largest coordinate functional
     on the unit ball is max_k dual_norm(e_k).
     """
-    gens = generators(spec)
-    U = gens.functionals
+    U = generators(spec)
     upper = float(np.max(np.sum(np.abs(U), axis=1)))
     n = U.shape[1]
     worst = 0.0
     for k in range(n):
-        worst = max(worst, dual_norm_lmo(spec, _unit(n, k), gens=gens).value)
+        worst = max(worst, dual_norm_lmo(spec, _unit(n, k), gens=U).value)
     return EquivalenceConstants(c_lower=1.0 / worst, C_upper=upper)

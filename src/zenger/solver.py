@@ -155,8 +155,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     alpha = problem.alpha
     tol = problem.tol
     n = alpha.size
-    gens = generators(spec)
-    U = gens.functionals
+    U = generators(spec)
 
     ones = np.ones(n)
     x = ones / (2.0 * eval_norm(spec, ones))
@@ -168,7 +167,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
 
     for iterations in range(1, problem.max_iterations + 1):
         grad = alpha / x
-        value, _ = dual_norm_lmo(spec, grad, gens=gens)
+        value, _ = dual_norm_lmo(spec, grad, gens=U)
         gap = value - float(grad @ x)
         trace.append((f, gap))
         if gap <= tol.gap:
@@ -188,7 +187,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
         # reached only when the budget ran out right after a polish moved
         # x; every break leaves x at the point whose gap was just measured
         grad = alpha / x
-        value, _ = dual_norm_lmo(spec, grad, gens=gens)
+        value, _ = dual_norm_lmo(spec, grad, gens=U)
         gap = value - float(grad @ x)
 
     if not converged and gap > 10.0 * tol.gap:
@@ -208,51 +207,47 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
 
 
 def _barrier_refine(spec, U, alpha, x):
-    """Log-barrier polish toward the in-orthant optimum on the ball.
+    """Log-barrier polish toward the optimum on the ball's positive orthant.
 
-    Within the orthant of x the problem is the smooth concave program
-    max F(z) subject to the support-functional inequalities B z <= 1, so
-    the polish follows its central path: the maximizers of
-    F(z) + mu * sum_i log(s_i), s = 1 - B z, with mu cut by 8 from each
-    centred point down to 1e-13.  The Newton steps are primal-dual (Wright,
-    "Primal-Dual Interior-Point Methods", 1997): the system weighs row i by
-    y_i / s_i, where y estimates the multipliers, instead of the primal
-    mu / s_i**2.  Right after a cut of mu, while the slacks still sit at
-    the old level, the primal weight is 8 times below y / s, so its step
-    overshoots the boundary and the fraction-to-boundary rule cuts it
-    short, step after step.  y follows the linearized complementarity
-    y * s = mu under its own fraction-to-boundary rule, which keeps it
-    positive.  Both rules keep
-    the iterates strictly interior, so no active-set bookkeeping is needed
-    and degenerate vertices cost nothing; the final complementarity gap is
-    of order mu times the count of active rows, comfortably below the
-    solver's stopping tolerance.  Driving mu further would push the tight
-    slacks under the rounding noise of recomputing 1 - B z, which is why
-    it stops there.  Returns the polished point rescaled to the sphere (the
-    caller re-checks both the objective and the duality gap), or None on
-    numerical failure.
+    solve_zenger starts from a positive multiple of the ones vector, and
+    the polish never leaves the positive orthant.  There the problem is the
+    smooth concave program max F(z) subject to the support-functional
+    inequalities U z <= 1, so the polish follows its central path: the
+    maximizers of F(z) + mu * sum_i log(s_i), s = 1 - U z, with mu cut by 8
+    from each centred point down to 1e-13.  The Newton steps are
+    primal-dual (Wright, "Primal-Dual Interior-Point Methods", 1997): the
+    system weighs row i by y_i / s_i, where y estimates the multipliers,
+    instead of the primal mu / s_i**2.  Right after a cut of mu, while the
+    slacks still sit at the old level, the primal weight is 8 times below
+    y / s, so its step overshoots the boundary and the fraction-to-boundary
+    rule cuts it short, step after step.  y follows the linearized
+    complementarity y * s = mu under its own fraction-to-boundary rule,
+    which keeps it positive.  Both rules keep the iterates strictly
+    interior, so no active-set bookkeeping is needed and degenerate
+    vertices cost nothing; the final complementarity gap is of order mu
+    times the count of active rows, comfortably below the solver's stopping
+    tolerance.  Driving mu further would push the tight slacks under the
+    rounding noise of recomputing 1 - U z, which is why it stops there.
+    Returns the polished point rescaled to the sphere (the caller re-checks
+    both the objective and the duality gap), or None on numerical failure.
     """
     mu = 1e-2
     mu_min = 1e-13
 
-    sgn = np.sign(x)
-    if np.any(sgn == 0.0):
-        return None
     r = eval_norm(spec, x)
     if not np.isfinite(r) or r <= 0.0:
         return None
-    B = U * sgn[None, :]
     # start matched to the first barrier level: a point pulled inward so
     # its tightest slacks sit near mu, not squashed against the boundary
-    z = np.abs(x) * min(1.0, (1.0 - mu) / r)
-    s = 1.0 - B @ z
+    z = x * min(1.0, (1.0 - mu) / r)
+    s = 1.0 - U @ z
     if np.min(s) <= 0.0:
         return None
 
     y = mu / s
     for _ in range(400):
-        grad = alpha / z - B.T @ (mu / s)
-        H = np.diag(alpha / (z * z)) + (B.T * (y / s)[None, :]) @ B
+        grad = alpha / z - U.T @ (mu / s)
+        H = np.diag(alpha / (z * z)) + (U.T * (y / s)[None, :]) @ U
         try:
             dz = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -272,14 +267,14 @@ def _barrier_refine(spec, U, alpha, x):
         falling = dz < 0.0
         if np.any(falling):
             t = min(t, 0.99 * float(np.min(-z[falling] / dz[falling])))
-        rates = B @ dz
+        rates = U @ dz
         rising = rates > 0.0
         if np.any(rising):
             t = min(t, 0.99 * float(np.min(s[rising] / rates[rising])))
         if t <= 0.0:
             break
         z_next = z + t * dz
-        s_next = 1.0 - B @ z_next
+        s_next = 1.0 - U @ z_next
         if np.min(z_next) <= 0.0 or np.min(s_next) <= 0.0:
             # the slack recompute drowned in rounding noise; keep the last
             # strictly feasible point
@@ -295,11 +290,10 @@ def _barrier_refine(spec, U, alpha, x):
         y = y + t_dual * dy
         z, s = z_next, s_next
 
-    out = sgn * z
-    scale = eval_norm(spec, out)
+    scale = eval_norm(spec, z)
     if not np.isfinite(scale) or scale <= 0.0:
         return None
-    return out / scale
+    return z / scale
 
 
 def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zenger.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -60,6 +66,22 @@ def test_solve_sup_norm_report(tmp_path, capsys):
     assert abs(float(fields["phi_3"]) - 0.5) <= 1e-9
     assert abs(float(fields["gap"])) <= 1e-9
     assert fields["certificate"] == "PASS"
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys):
+    # ``python -m zenger`` runs __main__.py, which hands its exit code to
+    # SystemExit; its stdout must be the in-process report byte for byte
+    path = sup3(tmp_path)
+    assert main(["solve", path]) == 0
+    want = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "zenger", "solve", path],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == want.encode()
 
 
 def test_solve_cascade_geometric_rule(tmp_path, capsys):

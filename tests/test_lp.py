@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from zenger import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    CompositeNorm,
     Example2Norm,
     LinearProgram,
     LPError,
@@ -144,6 +147,26 @@ def test_program_validation():
         LinearProgram(np.ones(1), np.array([[np.inf]]), np.ones(1))
 
 
+def test_memory_scales_with_the_nonbasic_columns():
+    # a dual-norm LP of n = 5 with blocks of 5, 5 and 6 rows: 1200 rows.
+    # The dictionary holds 1200 x 11 floats (0.1 MB); a full tableau with
+    # its 1200 x 1200 slack block would take 11.6 MB
+    rng = np.random.default_rng(5)
+    spec = CompositeNorm(tuple((1.0, rng.normal(size=(rows, 5)))
+                               for rows in (5, 5, 6)))
+    U = generators(spec)
+    lp = LinearProgram(rng.normal(size=5), U, np.ones(U.shape[0]))
+    assert U.shape[0] == 1200
+    tracemalloc.start()
+    try:
+        result = solve_lp(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == OPTIMAL
+    assert peak <= 2e6
+
+
 def _full_update_simplex(lp, max_pivots=None):
     # reference pivot loop that rewrites the whole tableau on every pivot;
     # solve_lp must follow the same pivot path to the same bits
@@ -270,7 +293,7 @@ def test_pivot_path_matches_full_tableau_update():
     lps = [random_mixed_lp(rng) for _ in range(500)]
     # the dual-norm LPs of the ||P_N|| table: projected generator rows of
     # Example2Norm(4) as objectives over its generator set
-    U = generators(Example2Norm(4)).functionals
+    U = generators(Example2Norm(4))
     for N in range(1, 4):
         V = U.copy()
         V[:, N:] = 0.0

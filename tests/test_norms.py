@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zenger
 from zenger import (
     Block,
     CompositeNorm,
@@ -8,6 +9,7 @@ from zenger import (
     Example1TailNorm,
     Example2Norm,
     GeneratorBlowup,
+    LPFailure,
     RankDeficientNorm,
     SupNorm,
     TailVector,
@@ -120,18 +122,18 @@ def test_homogeneity_and_triangle():
 def test_generator_counts_and_values():
     gens = generators(SupNorm(2))
     assert len(gens) == 4
-    rows = {tuple(r) for r in gens.functionals}
+    rows = {tuple(r) for r in gens}
     assert rows == {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
 
     gens = generators(CompositeNorm(((2.0, np.array([[1.0]])),)))
-    assert {tuple(r) for r in gens.functionals} == {(2.0,), (-2.0,)}
+    assert {tuple(r) for r in gens} == {(2.0,), (-2.0,)}
 
     # the null first row of the second block repeats 4 of the 16 sums
     assert len(generators(Example2Norm(2))) == 12
 
     rng = np.random.default_rng(33)
     for spec in (SupNorm(3), Example2Norm(4), random_composite(rng, 3)):
-        U = generators(spec).functionals
+        U = generators(spec)
         assert np.array_equal(U, np.unique(U, axis=0))  # distinct and sorted
 
 
@@ -141,9 +143,9 @@ def test_generator_faithfulness():
     for spec in specs:
         gens = generators(spec)
         for _ in range(1000):
-            x = rng.normal(size=gens.functionals.shape[1])
+            x = rng.normal(size=gens.shape[1])
             want = eval_norm(spec, x)
-            got = float(np.max(gens.functionals @ x))
+            got = float(np.max(gens @ x))
             assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
@@ -168,6 +170,18 @@ def test_generator_blowup_guard():
 def test_rank_deficient_block_stack_rejected():
     with pytest.raises(RankDeficientNorm):
         CompositeNorm(((1.0, np.array([[1.0, 1.0], [2.0, 2.0]])),))
+    # nearly parallel rows: the smaller singular value is about 5e-13
+    with pytest.raises(RankDeficientNorm):
+        CompositeNorm(((1.0, np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])),))
+    # a small singular value well above RANK_TOL is full rank
+    CompositeNorm(((1.0, [[1.0, 0.0], [0.0, 1e-9]]),))
+
+
+def test_generators_is_a_read_only_array():
+    U = generators(SupNorm(3))
+    assert isinstance(U, np.ndarray)
+    assert not U.flags.writeable
+    assert "GeneratorSet" not in zenger.__all__
 
 
 def test_block_validation():
@@ -183,6 +197,14 @@ def test_dual_norm_sup_is_l1():
     value, achiever = dual_norm_lmo(SupNorm(3), np.array([0.5, 0.3, 0.2]))
     assert value == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(achiever, [1.0, 1.0, 1.0], atol=1e-12)
+
+
+def test_dual_norm_refuses_an_infeasible_optimum():
+    # the simplex ends this LP at a basic point far outside the ball; it
+    # used to come back as the dual norm -2.6086e7, which no norm can be
+    g = np.random.default_rng(25).normal(size=25)
+    with pytest.raises(LPFailure, match=r"violates a row by 5\.767e\+07"):
+        dual_norm_lmo(Example2Norm(25), g)
 
 
 def test_dual_norm_zero_gradient():
@@ -204,14 +226,14 @@ def test_dual_norm_achiever_feasible():
     # the sup ball, and the projected generator rows projection_norm feeds in
     faces = [(SupNorm(3), np.array([1.0, 0.0, 0.0])), (SupNorm(3), np.zeros(3))]
     for spec in (Example2Norm(2), Example2Norm(4)):
-        V = generators(spec).functionals.copy()
+        V = generators(spec).copy()
         V[:, -1] = 0.0
         faces += [(spec, g) for g in np.unique(V, axis=0)]
     for spec, g in faces:
         value, achiever = dual_norm_lmo(spec, g)
         assert eval_norm(spec, achiever) <= 1.0 + 1e-9
         assert value == pytest.approx(float(g @ achiever), abs=1e-12)
-        U = generators(spec).functionals
+        U = generators(spec)
         if U.shape[0] <= BRUTE_MAX_CONSTRAINTS:
             oracle, _ = brute_force_vertices(
                 LinearProgram(g, U, np.ones(U.shape[0]))
@@ -226,7 +248,7 @@ def test_dual_norm_against_vertex_enumeration():
              CompositeNorm(((1.5, rng.normal(size=(2, 2)) + np.eye(2)),))]
     for spec in specs:
         gens = generators(spec)
-        U = gens.functionals
+        U = gens
         for _ in range(40):
             g = rng.normal(size=U.shape[1])
             value, _ = dual_norm_lmo(spec, g, gens=gens)

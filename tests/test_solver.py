@@ -10,6 +10,7 @@ from zenger import (
     DimensionMismatch,
     Example1TailNorm,
     Example2Norm,
+    LPFailure,
     NonConvergence,
     NotPolyhedral,
     SupNorm,
@@ -191,11 +192,11 @@ def one_iteration_problem():
 
 def stalled_instance():
     # columns scaled over six decades and one weight shrunk by 1e-6: the
-    # barrier polish stalls far from the optimum with the gap still open,
-    # and the stall is reported as non-convergence rather than returned as
-    # a pair.  The simplex is unreliable at this scaling too (from nearby
-    # points it reports negative gaps, which a correct LP cannot), so a
-    # checked simplex may re-pin this instance
+    # barrier polish stalls far from the optimum with the gap still open.
+    # The simplex is unreliable at this scaling too: the second dual-norm
+    # LP ends at a basic point that violates a row by 388 relative to
+    # 1 + |b|, and the feasibility check on every optimum refuses it
+    # instead of letting a wrong gap through
     rng = np.random.default_rng(9)
     n = 4
     blocks = [(float(rng.uniform(0.3, 2.0)),
@@ -218,7 +219,7 @@ def test_nonconvergence_is_raised():
 def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
     blocks, alpha = stalled_instance()
     n = alpha.size
-    with pytest.raises(NonConvergence):
+    with pytest.raises(LPFailure):
         solve_zenger(ZengerProblem(spec=CompositeNorm(tuple(blocks)),
                                    alpha=alpha))
     doc = {
@@ -249,7 +250,7 @@ def test_gap_is_measured_once_per_point(monkeypatch):
     monkeypatch.setattr("zenger.solver.dual_norm_lmo", counting_lmo)
 
     blocks, alpha = stalled_instance()
-    with pytest.raises(NonConvergence):
+    with pytest.raises(LPFailure):
         solve_zenger(ZengerProblem(spec=CompositeNorm(tuple(blocks)),
                                    alpha=alpha))
     assert len(calls) == 2
