@@ -281,15 +281,19 @@ def projection_norm(spec: NormSpec, N: int) -> float:
     """Operator norm of the truncation projection P_N on this normed space.
 
     Since P_N is diagonal, sup over the ball of norm(P_N x) equals the
-    largest dual norm of a projected support functional.
+    largest dual norm of a projected support functional.  Only the
+    functionals that P_N moves need an LP: a fixed one, P_N u = u, has dual
+    norm at most 1, since <u, x> <= norm(x) <= 1 on the ball, and ||P_N|| is
+    at least 1, since P_N e_1 = e_1.  So the maximum starts at 1, and for
+    N >= dimension (P_N = I) it is exactly 1 with no LP solved.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     gens = generators(spec)
-    V = gens.copy()
+    V = gens[np.any(gens[:, N:] != 0.0, axis=1)]
     V[:, N:] = 0.0
     V = _canonical_rows(V)
-    best = 0.0
+    best = 1.0
     for row in V:
         best = max(best, dual_norm_lmo(spec, row, gens=gens).value)
     return best

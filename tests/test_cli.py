@@ -193,6 +193,26 @@ def test_asymptotics_cascade_table(tmp_path, capsys):
     assert out.startswith("N,pn_norm,bound")
 
 
+def test_asymptotics_cascade_report_is_pinned(tmp_path, capsys):
+    # byte pin: every row prints exactly 1 + 2^-N, as value and as bound
+    path = write_problem(tmp_path, {"norm": {"type": "example2",
+                                             "dimension": 2}})
+    assert main(["asymptotics", path, "--n-range", "1..12"]) == 0
+    rows = [f"{N},{1 + 2.0 ** -N:.17g},{1 + 2.0 ** -N:.17g}"
+            for N in range(1, 13)]
+    expected = "\n".join(["N,pn_norm,bound"] + rows) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_asymptotics_identity_projection_prints_one(tmp_path, capsys):
+    # from N = dimension on, P_N = I and pn_norm is exactly 1, with no LP
+    n = 3
+    path = write_problem(tmp_path, random_composite_doc(5, n))
+    assert main(["asymptotics", path, "--n-range", f"{n}..{n + 1}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["N,pn_norm,bound", f"{n},1,", f"{n + 1},1,"]
+
+
 def test_asymptotics_sup_table_is_flat(tmp_path, capsys):
     path = write_problem(tmp_path, {"norm": {"type": "sup", "dimension": 5}})
     assert main(["asymptotics", path, "--n-range", "1..6"]) == 0

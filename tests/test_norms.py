@@ -18,12 +18,14 @@ from zenger import (
     equivalence_constants,
     eval_norm,
     eval_norm_many,
+    example2_family,
     generators,
     norm_dimension,
     project_PN,
     projection_norm,
 )
 from zenger.lp import BRUTE_MAX_CONSTRAINTS, LinearProgram
+from zenger.norms import _canonical_rows
 
 
 def cascade_oracle(x):
@@ -272,6 +274,58 @@ def test_projection_norm_sup():
 def test_projection_norm_cascade_band():
     value = projection_norm(Example2Norm(12), 6)
     assert 1.0 - 1e-12 <= value <= 1.0 + 2.0 ** -6 + 1e-9
+
+
+def full_loop_projection_norm(spec, N):
+    # the formula before functionals fixed by P_N were skipped: an LP for
+    # every canonical projected row, and a maximum that starts at 0
+    gens = generators(spec)
+    V = gens.copy()
+    V[:, N:] = 0.0
+    V = _canonical_rows(V)
+    best = 0.0
+    for row in V:
+        best = max(best, dual_norm_lmo(spec, row, gens=gens).value)
+    return best
+
+
+def test_projection_norm_matches_the_full_loop():
+    # bit equality wherever P_N is not the identity
+    for N in range(1, 10):
+        spec = example2_family(N)
+        assert projection_norm(spec, N) == full_loop_projection_norm(spec, N)
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        spec = random_composite(rng, n, max_blocks=2)
+        for N in range(1, n):
+            assert projection_norm(spec, N) == full_loop_projection_norm(spec, N)
+
+
+def test_projection_norm_solves_only_moved_rows(monkeypatch):
+    calls = []
+    real_lmo = zenger.norms.dual_norm_lmo
+
+    def counting_lmo(*args, **kwargs):
+        calls.append(None)
+        return real_lmo(*args, **kwargs)
+
+    monkeypatch.setattr(zenger.norms, "dual_norm_lmo", counting_lmo)
+    # 3N rows of Example2Norm(N + 1) have a nonzero last entry, against
+    # 2N(N + 1) canonical projected rows in all
+    assert projection_norm(example2_family(9), 9) == 1.0 + 2.0 ** -9
+    assert len(calls) == 27
+
+    # P_N = I from N = dimension on: exactly 1, and no LP at all
+    calls.clear()
+    rng = np.random.default_rng(21)
+    specs = [SupNorm(3), Example2Norm(5), random_composite(rng, 3),
+             random_composite(rng, 4)]
+    for spec in specs:
+        n = norm_dimension(spec)
+        assert projection_norm(spec, n) == 1.0
+        assert projection_norm(spec, n + 1) == 1.0
+    assert calls == []
 
 
 def test_projection_norm_rejects_bad_N():

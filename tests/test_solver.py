@@ -263,6 +263,39 @@ def test_gap_is_measured_once_per_point(monkeypatch):
     assert not np.array_equal(calls[0], calls[1])
 
 
+def test_stalled_polish_is_not_measured_again(monkeypatch):
+    # a well-conditioned solve whose polish stalls with the gap at LP noise,
+    # above 10 * tol.gap: the loop stops at the point whose gap it just
+    # measured, so the solve raises with one LP per iteration and no tail
+    # re-measure
+    lmo_calls = []
+    polishes = []
+    real_refine = zenger.solver._barrier_refine
+
+    def counting_lmo(*args, **kwargs):
+        lmo_calls.append(args[1].copy())
+        return dual_norm_lmo(*args, **kwargs)
+
+    def counting_refine(*args, **kwargs):
+        polishes.append(None)
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr("zenger.solver.dual_norm_lmo", counting_lmo)
+    monkeypatch.setattr(zenger.solver, "_barrier_refine", counting_refine)
+
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(2, 5))
+    problem = ZengerProblem(spec=random_composite(rng, n),
+                            alpha=random_alpha(rng, n),
+                            tol=Tolerances(gap=1e-15), max_iterations=50)
+    with pytest.raises(NonConvergence):
+        solve_zenger(problem)
+    # every iteration measured its gap once and then polished; the budget
+    # was not the reason to stop
+    assert len(lmo_calls) == len(polishes) < problem.max_iterations
+    assert len({g.tobytes() for g in lmo_calls}) == len(lmo_calls)
+
+
 def test_barrier_polish_step_budget(monkeypatch):
     # the 50 criterion-1 instances: primal-dual Newton steps (weight y / s
     # with multiplier estimates y) need 33-46 solves per polish, where the
