@@ -4,8 +4,8 @@ Certified pairs on a custom polyhedral norm
 
 Any norm written as a sum of weighted maxima of |rows . x| works, not just
 the sup norm.  Here we build a two-block norm on R^3, solve for the dual
-pair, certify it, and cross-check the objective against the small-dimension
-grid oracle, which knows nothing about barriers or duality gaps.
+pair, and certify it by recomputing its four defining identities from
+scratch.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import numpy as np
 from zenger import (
     CompositeNorm,
     ZengerProblem,
-    brute_force_zenger,
     certify,
     equivalence_constants,
     solve_zenger,
@@ -44,7 +43,6 @@ print("iterations =", pair.iterations)
 
 cert = certify(pair, problem)
 print("certificate ok =", cert.ok)
-
-# independent check: exhaustive grid plus local refinement
-oracle = brute_force_zenger(problem)
-print("|F_solver - F_oracle| =", abs(pair.objective - oracle.objective))
+print("residuals (norm, dual, pairing, factor) = %.1e %.1e %.1e %.1e"
+      % (cert.norm_residual, cert.dual_residual, cert.pairing_residual,
+         cert.factor_residual))

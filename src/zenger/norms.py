@@ -225,6 +225,8 @@ def eval_norm_many(spec: NormSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != norm_dimension(spec):
         raise DimensionMismatch(f"expected rows of length {norm_dimension(spec)}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("vector entries must be finite")
     total = np.zeros(X.shape[0])
     for blk in _blocks_of(spec):
         total += blk.coef * np.max(np.abs(X @ blk.matrix.T), axis=1)

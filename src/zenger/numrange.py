@@ -164,9 +164,10 @@ def spectrum_hull_check(
     """Verify the convex hull of the diagonal spectrum sits in the range.
 
     For every eigenvalue lambda on the diagonal and every grid angle theta,
-    checks Re(exp(-i theta) lambda) <= h(theta) up to 1e-8; worst_margin is
-    the smallest slack encountered (zero when an eigenvalue touches the
-    boundary, as for normal matrices).
+    checks Re(exp(-i theta) lambda) <= h(theta) up to 1e-8 times
+    max(1, max |A_ij|), since the rounding in h grows with the entries;
+    worst_margin is the smallest slack encountered (zero when an eigenvalue
+    touches the boundary, as for normal matrices).
     """
     A = as_complex_matrix(A)
     lower = A[np.tril_indices_from(A, k=-1)]
@@ -180,4 +181,5 @@ def spectrum_hull_check(
     rotated = np.real(np.exp(-1j * curve.thetas)[:, None] * eigs[None, :])
     margins = curve.values[:, None] - rotated
     worst = float(np.min(margins))
-    return HullCheck(ok=worst >= -MARGIN_TOL, worst_margin=worst)
+    scale = max(1.0, float(np.max(np.abs(A))))
+    return HullCheck(ok=worst >= -MARGIN_TOL * scale, worst_margin=worst)

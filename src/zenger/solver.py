@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     Tolerances,
-    TooLarge,
     ZengerError,
     as_vector,
     validate_weights,
@@ -36,15 +35,11 @@ from .core import (
 from .norms import (
     NormSpec,
     NotPolyhedral,
-    _blocks_of,
     dual_norm_lmo,
     eval_norm,
-    eval_norm_many,
     generators,
     norm_dimension,
 )
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NonConvergence(ZengerError):
@@ -108,24 +103,6 @@ class Certificate:
 def log_utility(alpha: np.ndarray, x: np.ndarray) -> float:
     """F(x) = sum_k alpha_k log |x_k|."""
     return float(alpha @ np.log(np.abs(x)))
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal fn on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
 
 
 def solve_zenger(problem: ZengerProblem) -> ZengerPair:
@@ -326,171 +303,4 @@ def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:
         factor_residual=factor_residual,
         tolerance=tol.certificate,
         ok=ok,
-    )
-
-
-def _direction_score(spec, alpha, point: np.ndarray) -> float:
-    # scale-free objective over positive directions; both terms are
-    # homogeneous of degree sum(alpha) = 1, so only the ray matters
-    return float(alpha @ np.log(point)) - math.log(eval_norm(spec, point))
-
-
-def _line_pass(score, n, d, span, stop, rounds, coarse=0.0):
-    """Direction-set maximization of ``score`` over positive vectors.
-
-    Probes coordinates, pairwise diagonals, and (after Powell) the net
-    displacement of recent rounds, which straightens the zigzag that plain
-    coordinate steps fall into inside anisotropic valleys.  Along a straight
-    segment of positive vectors the score is unimodal whenever the norm-like
-    term under its log is convex: the superlevel sets
-    {prod d^alpha >= c norm(d)} are where a concave function beats a convex
-    one, so golden section is exact per line.  ``coarse`` relaxes the golden
-    tolerance to a fraction of each bracket for sweeps that only need to
-    warm-start the next one.
-    """
-    base = [e for e in np.eye(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            base.append(base[i] + base[j])
-            base.append(base[i] - base[j])
-    base = [v / float(np.linalg.norm(v)) for v in base]
-
-    extra: list[np.ndarray] = []
-    current = score(d)
-    for _ in range(rounds):
-        if span <= stop:
-            break
-        moved = 0.0
-        start = d
-        for v in base + extra:
-            u_lo, u_hi = -span, span
-            for k in range(n):
-                if v[k] > 0.0:
-                    u_lo = max(u_lo, (1e-12 - d[k]) / v[k])
-                elif v[k] < 0.0:
-                    u_hi = min(u_hi, (1e-12 - d[k]) / v[k])
-            if u_hi - u_lo <= 1e-14:
-                continue
-
-            def along(u: float, v: np.ndarray = v) -> float:
-                return score(d + u * v)
-
-            u_best, val = _golden_max(
-                along, u_lo, u_hi, max(1e-13, coarse * (u_hi - u_lo))
-            )
-            if val > current:
-                moved = max(moved, abs(u_best))
-                d = d + u_best * v
-                current = val
-        step = d - start
-        length = float(np.linalg.norm(step))
-        if length > 1e-15:
-            extra = (extra + [step / length])[-2:]
-        if moved <= 0.25 * span:
-            # contract only after a round that stayed well inside the
-            # window; halving any faster can strand the iterate more than
-            # a window away from the optimum
-            span *= 0.5
-        # pin the iterate to the sum-one slice so the window scale stays
-        # meaningful as the search narrows
-        d = d / d.sum()
-        current = score(d)
-    return d, current
-
-
-def _refine_direction(spec, alpha, d, refine_tol):
-    """Smoothing continuation toward the best positive direction.
-
-    Line probes against the exact norm can stall: near a kink of a block
-    maximum the improving set, while convex, narrows to a wedge whose angle
-    no fixed probe family is guaranteed to enter.  Replacing each block
-    maximum by a log-sum-exp at temperature tau removes the kinks (the
-    surrogate overshoots the norm by at most tau log(2 rows), so its
-    maximizer is off by O(tau) in value) while keeping the surrogate convex,
-    hence the score still unimodal per line.  Annealing tau keeps every
-    sweep warm-started within reach of the next, and a last sweep against
-    the exact norm removes the residual smoothing bias.
-    """
-    n = alpha.size
-    stacks = [
-        (blk.coef, np.vstack([blk.matrix, -blk.matrix]))
-        for blk in _blocks_of(spec)
-    ]
-
-    tau = 1e-2
-    while tau > 1e-11:
-
-        def smoothed(p: np.ndarray, tau: float = tau) -> float:
-            total = 0.0
-            for coef, rows in stacks:
-                z = (rows @ p) / tau
-                top = float(np.max(z))
-                total += coef * tau * (
-                    top + math.log(float(np.sum(np.exp(z - top))))
-                )
-            return total
-
-        def score(p: np.ndarray, smoothed=smoothed) -> float:
-            return float(alpha @ np.log(p)) - math.log(smoothed(p))
-
-        d, _ = _line_pass(score, n, d, span=max(20.0 * tau, 1e-5),
-                          stop=0.05 * tau, rounds=12, coarse=1e-5)
-        tau *= 0.1
-
-    def exact(p: np.ndarray) -> float:
-        return _direction_score(spec, alpha, p)
-
-    return _line_pass(exact, n, d, span=1e-6, stop=0.05 * refine_tol,
-                      rounds=25)
-
-
-def brute_force_zenger(
-    problem: ZengerProblem,
-    resolution: float = 1e-3,
-    refine_tol: float = 1e-8,
-) -> ZengerPair:
-    """Oracle solver for dimension <= 3: score a simplex grid of positive
-    directions, polish the best one by smoothing continuation with
-    direction-set line maximization, then rescale to the unit sphere.
-
-    Like the main solver (whose iterates the barrier's fraction-to-boundary
-    rule keeps in the starting orthant), the search lives in the positive
-    orthant; the returned pair certifies stationarity there.
-    """
-    spec = problem.spec
-    alpha = problem.alpha
-    n = alpha.size
-    if n > 3:
-        raise TooLarge("grid oracle limited to dimension 3")
-    K = max(2, round(1.0 / resolution))
-
-    if n == 1:
-        D = np.ones((1, 1))
-    elif n == 2:
-        i = np.arange(1, K, dtype=float)
-        D = np.stack([i, K - i], axis=1) / K
-    else:
-        i, j = np.meshgrid(np.arange(1, K), np.arange(1, K), indexing="ij")
-        mask = (i + j) <= K - 1
-        i, j = i[mask].astype(float), j[mask].astype(float)
-        D = np.stack([i, j, K - i - j], axis=1) / K
-
-    scores = np.log(D) @ alpha - np.log(eval_norm_many(spec, D))
-    d0 = D[int(np.argmax(scores))]
-    if n == 1:
-        d = d0
-    else:
-        d, _ = _refine_direction(spec, alpha, d0, refine_tol)
-
-    w = d / eval_norm(spec, d)
-    phi = alpha / w
-    gap = dual_norm_lmo(spec, phi).value - 1.0
-    return ZengerPair(
-        w=w,
-        phi=phi,
-        alpha=alpha,
-        gap=gap,
-        objective=log_utility(alpha, w),
-        iterations=0,
-        trace=(),
     )

@@ -19,7 +19,6 @@ from zenger import (
     TailVector,
     ZengerProblem,
     brute_force_vertices,
-    brute_force_zenger,
     certify,
     dual_norm_lmo,
     equivalence_constants,
@@ -36,6 +35,8 @@ from zenger import (
 )
 from zenger.cli import main
 from zenger.lp import LinearProgram, solve_lp
+
+from oracle import brute_force_zenger
 
 
 def random_composite(rng, n, max_blocks=3):
@@ -163,7 +164,7 @@ def test_criterion_6_tail_norm_counterexample():
 
 def test_criterion_7_oracle_equivalence():
     # simplex agrees with vertex enumeration on 500 random LPs to 1e-9, and
-    # the solver agrees with the grid-plus-descent oracle to 1e-6 in F
+    # the solver agrees with the nested golden-section oracle to 1e-6 in F
     rng = np.random.default_rng(107)
     for _ in range(500):
         n = int(rng.integers(1, 5))

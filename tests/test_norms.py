@@ -160,6 +160,8 @@ def test_eval_norm_many_matches_scalar():
         assert many[i] == pytest.approx(eval_norm(spec, X[i]), abs=1e-14)
     with pytest.raises(DimensionMismatch):
         eval_norm_many(spec, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        eval_norm_many(SupNorm(2), [[np.nan, 1.0], [np.inf, 0.0]])
 
 
 def test_generator_blowup_guard():

@@ -104,6 +104,17 @@ def test_hull_check_normal_touches_boundary():
     assert report.ok
     assert abs(report.worst_margin) <= 1e-8
 
+    # the rounding in h(theta) grows with the entries, so the accepted
+    # slack scales with max|A_ij|
+    A = np.diag([3e9, 2e9j, -1e9 - 1e9j])
+    curve = support_curve(A, 64)
+    report = spectrum_hull_check(A, grid_size=64, curve=curve)
+    assert report.ok
+    assert abs(report.worst_margin) <= 1e-8 * 3e9
+    # a curve pulled inward by 1e-6 * max|A_ij| is still caught
+    shifted = SupportCurve(curve.thetas, curve.values - 1e-6 * 3e9)
+    assert not spectrum_hull_check(A, grid_size=64, curve=shifted).ok
+
 
 def test_hull_check_nilpotent_margin():
     report = spectrum_hull_check(np.array([[0.0, 1.0], [0.0, 0.0]]))

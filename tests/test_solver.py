@@ -17,7 +17,6 @@ from zenger import (
     Tolerances,
     TooLarge,
     ZengerProblem,
-    brute_force_zenger,
     certify,
     dual_norm_lmo,
     eval_norm,
@@ -27,6 +26,8 @@ from zenger import (
 )
 import zenger.solver
 from zenger.cli import main
+
+from oracle import brute_force_zenger
 
 
 def random_composite(rng, n, max_blocks=3):
@@ -338,10 +339,28 @@ def test_brute_force_closed_forms():
     pair = brute_force_zenger(ZengerProblem(spec=spec, alpha=(0.5, 0.5)))
     assert np.max(np.abs(pair.w - np.array([1.0, 0.5]))) <= 1e-6
 
+    pair = brute_force_zenger(ZengerProblem(spec=SupNorm(3),
+                                            alpha=(0.2, 0.3, 0.5)))
+    assert np.max(np.abs(pair.w - 1.0)) <= 1e-6
+
+    spec = CompositeNorm(((1.0, np.diag([1.0, 2.0, 4.0])),))
+    pair = brute_force_zenger(ZengerProblem(spec=spec, alpha=(0.5, 0.3, 0.2)))
+    assert np.max(np.abs(pair.w - np.array([1.0, 0.5, 0.25]))) <= 1e-6
+
+    pair = brute_force_zenger(ZengerProblem(spec=SupNorm(1), alpha=(1.0,)))
+    assert np.max(np.abs(pair.w - 1.0)) <= 1e-6
+
 
 def test_brute_force_rejects_large_problems():
     with pytest.raises(TooLarge):
         brute_force_zenger(ZengerProblem(spec=SupNorm(4), alpha=(0.25,) * 4))
+
+
+def test_oracle_is_not_exported():
+    # the oracle lives in tests/oracle.py; the library ships one solver
+    assert "brute_force_zenger" not in zenger.__all__
+    assert not hasattr(zenger, "brute_force_zenger")
+    assert not hasattr(zenger.solver, "brute_force_zenger")
 
 
 def test_solver_agrees_with_grid_oracle():
