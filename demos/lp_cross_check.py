@@ -6,12 +6,18 @@ Every dual-norm evaluation in the package bottoms out in a small linear
 program over free variables: maximize <c, x> subject to A x <= b.  The
 simplex implementation uses Bland's rule, so it cannot cycle; this script
 solves a batch of random LPs and confirms each optimum against brute-force
-enumeration of basic feasible points.
+enumeration of basic feasible points, the test oracle in tests/oracle.py.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from zenger import LinearProgram, brute_force_vertices, solve_lp
+from zenger import LinearProgram, solve_lp
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import brute_force_vertices  # noqa: E402
 
 rng = np.random.default_rng(7)
 

@@ -103,20 +103,16 @@ def example2_family(N: int) -> Example2Norm:
     return Example2Norm(N + 1)
 
 
-def default_tail_probes() -> tuple[TailVector, ...]:
-    """Unit vectors of the tail norm used to probe ||P_N|| from below; the
-    first one is fixed by every P_N, pinning the norm at its ceiling 1."""
-    return (
-        TailVector(np.array([1.0]), 0.0),
-        TailVector(np.array([]), 1.0),
-        TailVector(np.array([0.5, -0.5]), 0.5),
-    )
+# Unit vectors of the tail norm used to probe ||P_N|| from below; the first
+# one is fixed by every P_N, pinning the norm at its ceiling 1.
+_TAIL_PROBES = (
+    TailVector(np.array([1.0]), 0.0),
+    TailVector(np.array([]), 1.0),
+    TailVector(np.array([0.5, -0.5]), 0.5),
+)
 
 
-def tail_projection_table(
-    n_range: Iterable[int],
-    probes: tuple[TailVector, ...] | None = None,
-) -> PnTable:
+def tail_projection_table(n_range: Iterable[int]) -> PnTable:
     """P_N norm estimates for the sup-plus-limsup norm.
 
     The norm is not polyhedral, so the table reports the best ratio
@@ -125,15 +121,13 @@ def tail_projection_table(
     family always realizes it.
     """
     spec = Example1TailNorm()
-    if probes is None:
-        probes = default_tail_probes()
     rows = []
     for N in n_range:
         N = int(N)
         if N < 1:
             raise ValueError("truncation levels are positive integers")
         best = 0.0
-        for u in probes:
+        for u in _TAIL_PROBES:
             denom = eval_norm(spec, u)
             if denom == 0.0:
                 continue

@@ -43,12 +43,7 @@ from .norms import (
     SupNorm,
     norm_dimension,
 )
-from .numrange import (
-    NotHermitian,
-    NotTriangular,
-    spectrum_hull_check,
-    support_curve,
-)
+from .numrange import NotTriangular, spectrum_hull_check, support_curve
 from .solver import NonConvergence, ZengerProblem, certify, solve_zenger
 
 EXIT_OK = 0
@@ -487,10 +482,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except MatrixShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATRIX_SHAPE
-    except (NotTriangular, NotHermitian) as exc:
+    except (MatrixShapeError, NotTriangular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATRIX_SHAPE
     except GeneratorBlowup as exc:

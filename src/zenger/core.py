@@ -37,10 +37,6 @@ class DimensionMismatch(ZengerError):
     """Vector shape does not match what an operation expects."""
 
 
-class TooLarge(ZengerError):
-    """Problem size exceeds the limits of an exhaustive routine."""
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds used throughout the solve and certification path.
@@ -83,17 +79,6 @@ def validate_weights(alpha, weight_tol: float = 1e-10) -> np.ndarray:
     if abs(total - 1.0) > weight_tol:
         raise SumMismatch(total)
     return a
-
-
-def renormalize_weights(alpha) -> np.ndarray:
-    """Scale strictly positive weights so they sum to one."""
-    a = as_vector(alpha)
-    if a.size == 0:
-        raise DimensionMismatch("weight vector is empty")
-    bad = np.nonzero(a <= 0.0)[0]
-    if bad.size:
-        raise NonPositiveWeight(int(bad[0]) + 1)
-    return a / np.sum(a)
 
 
 @dataclass(frozen=True)

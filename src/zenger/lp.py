@@ -1,4 +1,4 @@
-"""Dictionary simplex with Bland's rule, plus an exhaustive vertex oracle.
+"""Dictionary simplex with Bland's rule.
 
 Problems are stated as: maximize <c, x> subject to A x <= b with x free.
 Free variables are split as x = u - v, slacks make rows equalities, and rows
@@ -12,11 +12,10 @@ construction, so repeated runs give bit-identical answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import TooLarge, ZengerError, as_vector
+from .core import ZengerError, as_vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -25,10 +24,6 @@ UNBOUNDED = "unbounded"
 PIVOT_EPS = 1e-12  # pivot magnitudes below this abort the run
 COST_EPS = 1e-9    # reduced costs within this of zero count as optimal
 ACTIVE_EPS = 1e-9  # constraint slack below this counts as active
-
-# Exhaustive enumeration stays tractable only at desk scale.
-BRUTE_MAX_DIM = 6
-BRUTE_MAX_CONSTRAINTS = 24
 
 
 class LPError(ZengerError):
@@ -192,38 +187,3 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
     active = np.nonzero(slack <= ACTIVE_EPS * scale)[0]
     return LPResult(OPTIMAL, value, x, active)
 
-
-def brute_force_vertices(lp: LinearProgram) -> tuple[float, np.ndarray]:
-    """Independent oracle: enumerate every n-subset of constraints, solve the
-    square system, keep feasible points, return the best value and point.
-
-    Only valid on bounded feasible regions at desk scale.
-    """
-    c = np.asarray(lp.objective, dtype=float)
-    A = np.asarray(lp.lhs, dtype=float)
-    b = np.asarray(lp.rhs, dtype=float)
-    m, n = A.shape
-    if n > BRUTE_MAX_DIM or m > BRUTE_MAX_CONSTRAINTS:
-        raise TooLarge(
-            f"vertex enumeration limited to {BRUTE_MAX_DIM} variables "
-            f"and {BRUTE_MAX_CONSTRAINTS} constraints"
-        )
-    if m < n:
-        raise LPError("fewer constraints than variables, region is unbounded")
-
-    subsets = np.array(list(combinations(range(m), n)))
-    mats = A[subsets]
-    rhss = b[subsets]
-    dets = np.linalg.det(mats)
-    keep = np.abs(dets) > 1e-12
-    if not np.any(keep):
-        raise LPError("no nondegenerate constraint subset found")
-    points = np.linalg.solve(mats[keep], rhss[keep][..., None])[..., 0]
-    feas_tol = ACTIVE_EPS * (1.0 + np.max(np.abs(b)))
-    feasible = np.all(points @ A.T <= b[None, :] + feas_tol, axis=1)
-    if not np.any(feasible):
-        raise LPError("no feasible vertex found")
-    points = points[feasible]
-    values = points @ c
-    best = int(np.argmax(values))
-    return float(values[best]), points[best]

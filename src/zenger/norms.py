@@ -23,12 +23,12 @@ import numpy as np
 from .core import DimensionMismatch, TailVector, ZengerError, as_vector
 from . import lp as _lp
 
-GENERATOR_LIMIT = 10 ** 6
+GENERATOR_LIMIT = 2 * 10 ** 6  # entries (rows x dimension) of the expansion
 RANK_TOL = 1e-10
 
 
 class GeneratorBlowup(ZengerError):
-    """The support-functional expansion would exceed the generator cap."""
+    """The support-functional expansion would exceed the entry cap."""
 
 
 class RankDeficientNorm(ZengerError):
@@ -220,34 +220,23 @@ def _example2_tail_eval(x: TailVector) -> float:
     return term1 + term2
 
 
-def eval_norm_many(spec: NormSpec, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_norm` over the rows of ``X``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != norm_dimension(spec):
-        raise DimensionMismatch(f"expected rows of length {norm_dimension(spec)}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("vector entries must be finite")
-    total = np.zeros(X.shape[0])
-    for blk in _blocks_of(spec):
-        total += blk.coef * np.max(np.abs(X @ blk.matrix.T), axis=1)
-    return total
-
-
 def generators(spec: NormSpec) -> np.ndarray:
     """Support functionals u_i with norm(x) = max_i <u_i, x>, as the rows of
     a read-only array.
 
     Expanding the sign and row choices of every block gives prod_j
     (2 * rows_j) rows; the distinct ones are returned, sign symmetric and
-    sorted.  A product past ``GENERATOR_LIMIT`` raises
-    :class:`GeneratorBlowup` before anything is allocated."""
+    sorted.  When the product times the dimension passes
+    ``GENERATOR_LIMIT`` entries, :class:`GeneratorBlowup` is raised before
+    anything is allocated."""
     blocks = _blocks_of(spec)
     count = math.prod(2 * blk.matrix.shape[0] for blk in blocks)
-    if count > GENERATOR_LIMIT:
-        raise GeneratorBlowup(
-            f"{count} support functionals exceed the cap of {GENERATOR_LIMIT}"
-        )
     n = blocks[0].matrix.shape[1]
+    if count * n > GENERATOR_LIMIT:
+        raise GeneratorBlowup(
+            f"{count} support functionals of dimension {n} exceed the cap "
+            f"of {GENERATOR_LIMIT} entries"
+        )
     combos = np.zeros((1, n))
     for blk in blocks:
         scaled = blk.coef * blk.matrix

@@ -23,13 +23,8 @@ from .core import ZengerError
 
 DEFAULT_GRID = 256
 OFF_DIAGONAL_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
 MARGIN_TOL = 1e-8
 _MAX_SWEEPS = 60
-
-
-class NotHermitian(ZengerError):
-    """Input to the eigensolver was not Hermitian within tolerance."""
 
 
 class NotTriangular(ZengerError):
@@ -115,39 +110,14 @@ def _jacobi_batch(Hs: np.ndarray) -> np.ndarray:
     return np.sort(diag, axis=1)
 
 
-def jacobi_eigen(H) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Raises NotHermitian when max |H - H*| exceeds 1e-12.
-    """
-    H = as_complex_matrix(H)
-    defect = float(np.max(np.abs(H - np.conj(H.T))))
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"max |H - H*| = {defect:.3e}")
-    return _jacobi_batch(H[None, :, :])[0]
-
-
-def _hermitian_parts(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    Hr = 0.5 * (A + np.conj(A.T))
-    Hi = 0.5j * (np.conj(A.T) - A)
-    return Hr, Hi
-
-
-def support_function(A, theta: float) -> float:
-    """h(theta): top eigenvalue of the Hermitian part of exp(-i theta) A."""
-    A = as_complex_matrix(A)
-    Hr, Hi = _hermitian_parts(A)
-    H = np.cos(theta) * Hr + np.sin(theta) * Hi
-    return float(jacobi_eigen(H)[-1])
-
-
 def support_curve(A, grid_size: int = DEFAULT_GRID) -> SupportCurve:
     """Support function sampled on a uniform angle grid over [0, 2*pi)."""
     A = as_complex_matrix(A)
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    Hr, Hi = _hermitian_parts(A)
+    Hr = 0.5 * (A + np.conj(A.T))
+    Hi = 0.5j * (np.conj(A.T) - A)
     stack = (
         np.cos(thetas)[:, None, None] * Hr[None, :, :]
         + np.sin(thetas)[:, None, None] * Hi[None, :, :]

@@ -1,4 +1,9 @@
-"""Test-only oracle for ``solve_zenger`` in dimension <= 3.
+"""Test-only oracles: vertex enumeration for ``solve_lp`` and a nested
+golden-section search for ``solve_zenger`` in dimension <= 3.
+
+Vertex enumeration solves the square system of every n-subset of
+constraints and keeps the best feasible point; it knows nothing about
+pivots or bases.
 
 On the open simplex F(d) = alpha . log d - log norm(d) is strictly
 quasi-concave: its superlevel sets are where the weighted geometric mean,
@@ -9,12 +14,58 @@ nothing about LPs, barriers or duality gaps.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from zenger import TooLarge, ZengerPair, dual_norm_lmo, eval_norm, log_utility
+from zenger import LPError, ZengerPair, dual_norm_lmo, eval_norm, log_utility
+from zenger.lp import ACTIVE_EPS
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Exhaustive enumeration stays tractable only at desk scale.
+BRUTE_MAX_DIM = 6
+BRUTE_MAX_CONSTRAINTS = 24
+
+
+class TooLarge(Exception):
+    """Problem size exceeds the limits of an exhaustive oracle."""
+
+
+def brute_force_vertices(lp) -> tuple[float, np.ndarray]:
+    """Enumerate every n-subset of constraints, solve the square system,
+    keep feasible points, return the best value and point.
+
+    Only valid on bounded feasible regions at desk scale.
+    """
+    c = np.asarray(lp.objective, dtype=float)
+    A = np.asarray(lp.lhs, dtype=float)
+    b = np.asarray(lp.rhs, dtype=float)
+    m, n = A.shape
+    if n > BRUTE_MAX_DIM or m > BRUTE_MAX_CONSTRAINTS:
+        raise TooLarge(
+            f"vertex enumeration limited to {BRUTE_MAX_DIM} variables "
+            f"and {BRUTE_MAX_CONSTRAINTS} constraints"
+        )
+    if m < n:
+        raise LPError("fewer constraints than variables, region is unbounded")
+
+    subsets = np.array(list(combinations(range(m), n)))
+    mats = A[subsets]
+    rhss = b[subsets]
+    dets = np.linalg.det(mats)
+    keep = np.abs(dets) > 1e-12
+    if not np.any(keep):
+        raise LPError("no nondegenerate constraint subset found")
+    points = np.linalg.solve(mats[keep], rhss[keep][..., None])[..., 0]
+    feas_tol = ACTIVE_EPS * (1.0 + np.max(np.abs(b)))
+    feasible = np.all(points @ A.T <= b[None, :] + feas_tol, axis=1)
+    if not np.any(feasible):
+        raise LPError("no feasible vertex found")
+    points = points[feasible]
+    values = points @ c
+    best = int(np.argmax(values))
+    return float(values[best]), points[best]
 
 
 def _golden_max(fn) -> float:

@@ -133,6 +133,14 @@ def test_solve_generator_blowup(tmp_path, capsys):
     assert main(["solve", path]) == 4
     assert "error:" in capsys.readouterr().err
 
+    # few rows, but rows x dimension past the entry cap
+    path = write_problem(tmp_path, {
+        "norm": {"type": "example2", "dimension": 80},
+        "alpha": {"rule": "geometric", "ratio": 0.5},
+    })
+    assert main(["solve", path]) == 4
+    assert "error:" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("doc", [
     {"norm": {"type": "sup", "dimension": 3}},

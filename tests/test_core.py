@@ -8,8 +8,8 @@ from zenger import (
     TailVector,
     Tolerances,
     as_vector,
+    geometric_alpha,
     project_PN,
-    renormalize_weights,
     validate_weights,
 )
 
@@ -54,27 +54,22 @@ def test_validate_weights_empty():
 
 
 def test_renormalize_geometric_prefix():
-    out = renormalize_weights((3 / 4, 3 / 16, 3 / 64))
+    out = geometric_alpha(0.25, 3)
     # dividing exact dyadic values by the exact sum 63/64 is a single
     # correctly rounded division per entry
     assert np.array_equal(out, [16 / 21, 4 / 21, 1 / 21])
 
 
 def test_renormalize_trivial_cases():
-    assert np.array_equal(renormalize_weights((1.0,)), [1.0])
-    assert np.array_equal(renormalize_weights((2.0, 2.0)), [0.5, 0.5])
-
-
-def test_renormalize_rejects_nonpositive():
-    with pytest.raises(NonPositiveWeight):
-        renormalize_weights((1.0, -1.0))
+    for ratio in (0.25, 0.5, 0.9):
+        assert np.array_equal(geometric_alpha(ratio, 1), [1.0])
 
 
 def test_renormalize_round_trips_through_validate():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        raw = rng.uniform(0.01, 10.0, size=int(rng.integers(1, 9)))
-        validate_weights(renormalize_weights(raw))
+        ratio = float(rng.uniform(0.01, 0.99))
+        validate_weights(geometric_alpha(ratio, int(rng.integers(1, 9))))
 
 
 def test_tail_vector_entries_and_limits():

@@ -14,12 +14,12 @@ from zenger import (
     LPResult,
     MaxPivotsExceeded,
     NumericalBreakdown,
-    TooLarge,
-    brute_force_vertices,
     generators,
     solve_lp,
 )
 from zenger.lp import ACTIVE_EPS, COST_EPS, PIVOT_EPS, default_pivot_cap
+
+from oracle import TooLarge, brute_force_vertices
 
 
 def box_lp():

@@ -13,19 +13,19 @@ from zenger import (
     RankDeficientNorm,
     SupNorm,
     TailVector,
-    brute_force_vertices,
     dual_norm_lmo,
     equivalence_constants,
     eval_norm,
-    eval_norm_many,
     example2_family,
     generators,
     norm_dimension,
     project_PN,
     projection_norm,
 )
-from zenger.lp import BRUTE_MAX_CONSTRAINTS, LinearProgram
+from zenger.lp import LinearProgram
 from zenger.norms import _canonical_rows
+
+from oracle import BRUTE_MAX_CONSTRAINTS, brute_force_vertices
 
 
 def cascade_oracle(x):
@@ -151,24 +151,14 @@ def test_generator_faithfulness():
             assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
-def test_eval_norm_many_matches_scalar():
-    rng = np.random.default_rng(35)
-    spec = random_composite(rng, 3)
-    X = rng.normal(size=(40, 3))
-    many = eval_norm_many(spec, X)
-    for i in range(X.shape[0]):
-        assert many[i] == pytest.approx(eval_norm(spec, X[i]), abs=1e-14)
-    with pytest.raises(DimensionMismatch):
-        eval_norm_many(spec, np.ones((2, 4)))
-    with pytest.raises(ValueError, match="finite"):
-        eval_norm_many(SupNorm(2), [[np.nan, 1.0], [np.inf, 0.0]])
-
-
 def test_generator_blowup_guard():
     blocks = tuple((1.0, np.random.default_rng(0).normal(size=(51, 2)))
                    for _ in range(3))
     with pytest.raises(GeneratorBlowup):
-        generators(CompositeNorm(blocks))  # (2*51)^3 > 10^6
+        generators(CompositeNorm(blocks))  # (2*51)^3 * 2 entries > 2 * 10^6
+    with pytest.raises(GeneratorBlowup):
+        # only (2*80)^2 rows, but 80 entries each: 2048000 entries
+        generators(Example2Norm(80))
 
 
 def test_rank_deficient_block_stack_rejected():

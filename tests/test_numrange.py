@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from zenger import (
-    NotHermitian,
     NotTriangular,
     SupportCurve,
     as_complex_matrix,
-    jacobi_eigen,
     spectrum_hull_check,
     support_curve,
-    support_function,
 )
+from zenger.numrange import _jacobi_batch
 
 
 def random_hermitian(rng, n):
@@ -24,9 +22,11 @@ def random_upper_triangular(rng, n):
 
 
 def test_jacobi_on_diagonal_and_flip():
-    assert np.max(np.abs(jacobi_eigen(np.diag([3.0, 1.0, 2.0])) -
+    H = np.diag([3.0, 1.0, 2.0])
+    assert np.max(np.abs(_jacobi_batch(H[None])[0] -
                          np.array([1.0, 2.0, 3.0]))) <= 1e-14
-    got = jacobi_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    got = _jacobi_batch(H[None])[0]
     assert np.max(np.abs(got - np.array([-1.0, 1.0]))) <= 1e-12
 
 
@@ -35,7 +35,7 @@ def test_jacobi_matches_lapack():
     for n in (1, 2, 3, 4, 5, 6):
         for _ in range(5):
             H = random_hermitian(rng, n)
-            got = jacobi_eigen(H)
+            got = _jacobi_batch(H[None])[0]
             want = np.linalg.eigvalsh(H)
             assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -44,28 +44,24 @@ def test_jacobi_preserves_trace_and_frobenius():
     rng = np.random.default_rng(12)
     for _ in range(20):
         H = random_hermitian(rng, int(rng.integers(2, 7)))
-        eigs = jacobi_eigen(H)
+        eigs = _jacobi_batch(H[None])[0]
         assert abs(eigs.sum() - np.trace(H).real) <= 1e-10
         assert abs((eigs ** 2).sum() - np.sum(np.abs(H) ** 2)) <= 1e-10
 
 
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        jacobi_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_support_function_diagonal_segment():
-    A = np.diag([0.0, 1.0])
-    assert abs(support_function(A, 0.0) - 1.0) <= 1e-12
-    assert abs(support_function(A, np.pi)) <= 1e-12
-    assert abs(support_function(A, np.pi / 2.0)) <= 1e-12
+    # grid 8 puts angles 0, pi/2 and pi at indices 0, 2 and 4
+    values = support_curve(np.diag([0.0, 1.0]), 8).values
+    assert abs(values[0] - 1.0) <= 1e-12
+    assert abs(values[4]) <= 1e-12
+    assert abs(values[2]) <= 1e-12
 
 
 def test_support_function_nilpotent_disk():
     # the range of the 2x2 shift is the closed disk of radius 1/2
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for theta in np.linspace(0.0, 2.0 * np.pi, 17):
-        assert abs(support_function(A, theta) - 0.5) <= 1e-12
+    for value in support_curve(A, 16).values:
+        assert abs(value - 0.5) <= 1e-12
 
 
 def test_support_curve_grid_and_consistency():
@@ -76,7 +72,9 @@ def test_support_curve_grid_and_consistency():
     assert curve.thetas[0] == 0.0
     assert abs(curve.thetas[1] - 2.0 * np.pi / 32.0) <= 1e-15
     for k in (0, 5, 17, 31):
-        assert abs(curve.values[k] - support_function(A, curve.thetas[k])) <= 1e-10
+        rotated = np.exp(-1j * curve.thetas[k]) * A
+        H = 0.5 * (rotated + np.conj(rotated.T))
+        assert abs(curve.values[k] - np.linalg.eigvalsh(H)[-1]) <= 1e-10
 
     with pytest.raises(ValueError):
         support_curve(A, grid_size=7)

@@ -15,7 +15,6 @@ from zenger import (
     NotPolyhedral,
     SupNorm,
     Tolerances,
-    TooLarge,
     ZengerProblem,
     certify,
     dual_norm_lmo,
@@ -27,7 +26,7 @@ from zenger import (
 import zenger.solver
 from zenger.cli import main
 
-from oracle import brute_force_zenger
+from oracle import TooLarge, brute_force_zenger
 
 
 def random_composite(rng, n, max_blocks=3):
@@ -357,10 +356,22 @@ def test_brute_force_rejects_large_problems():
 
 
 def test_oracle_is_not_exported():
-    # the oracle lives in tests/oracle.py; the library ships one solver
-    assert "brute_force_zenger" not in zenger.__all__
-    assert not hasattr(zenger, "brute_force_zenger")
-    assert not hasattr(zenger.solver, "brute_force_zenger")
+    # the test oracles live in tests/oracle.py and the library ships one
+    # solver; the other names ran in no command and no claim of the paper
+    removed = [
+        ("brute_force_zenger", zenger.solver),
+        ("brute_force_vertices", zenger.lp),
+        ("TooLarge", zenger.core),
+        ("eval_norm_many", zenger.norms),
+        ("renormalize_weights", zenger.core),
+        ("support_function", zenger.numrange),
+        ("jacobi_eigen", zenger.numrange),
+        ("NotHermitian", zenger.numrange),
+    ]
+    for name, module in removed:
+        assert name not in zenger.__all__, name
+        assert not hasattr(zenger, name), name
+        assert not hasattr(module, name), name
 
 
 def test_solver_agrees_with_grid_oracle():
