@@ -42,7 +42,9 @@ class Tolerances:
     """Numeric thresholds used throughout the solve and certification path.
 
     weight       : slack allowed in the sum-to-one check on weights
-    gap          : duality gap at which the solver stops
+    gap          : bound on the solver's gap, the multiplier bound on
+                   dual_norm(phi) minus 1; solve_zenger raises
+                   NonConvergence above ten times it
     certificate  : bound every certificate residual must meet
     """
 

@@ -1,21 +1,44 @@
-"""Weighted log-utility maximization over unit norm balls.
+"""Weighted log-utility maximization over unit balls of polyhedral norms.
 
-Maximizes F(x) = sum_k alpha_k log|x_k| over the unit ball of a polyhedral
-norm.  Each iteration measures the duality gap <grad, s - x>, where s is
-the dual-norm LP's maximizer; at an iterate x the gradient pairs with x to
-exactly sum(alpha) = 1, so the gap equals dual_norm(grad) - 1 and is itself
-the certificate quantity (the Frank-Wolfe gap, as in Jaggi, "Revisiting
-Frank-Wolfe", ICML 2013).  The gap is the sole convergence criterion.
+Maximizes F(x) = sum_k alpha_k log x_k over the positive part of the unit
+ball of ``norm(x) = sum_j c_j max_r |(A_j x)_r|``.  The ball is the
+projection of the lifted polytope
 
-While the gap is open, the iterate is polished by following the log-barrier
-central path of the ball slice cut out by its orthant with primal-dual
-Newton steps, and the polished point replaces it only when it strictly
-raises F.  Iteration stops when the gap closes, or when the polish fails
-or cannot raise F; a gap still above ten times the tolerance then raises
-NonConvergence.
+    A_j x - t_j 1 <= 0,   -A_j x - t_j 1 <= 0,   sum_j c_j t_j <= 1
+
+over v = (x, t) (Boyd & Vandenberghe, "Convex Optimization", 2004, §4.3):
+2 sum_j R_j + 1 rows and n + J columns for J blocks of R_j rows, where the
+support-functional expansion of the norm needs up to prod_j 2 R_j rows.
+One primal-dual log-barrier solve of that program gives the optimum.
+
+The gap comes from the barrier's multipliers (§5.5, §11.3).  With y_j^+,
+y_j^- >= 0 on the two row families of block j and lambda on the budget
+row, stationarity reads alpha / x = sum_j A_j^T (y_j^+ - y_j^-) and
+1^T (y_j^+ + y_j^-) = lambda c_j, and at the optimum lambda = sum(alpha)
+= 1.  Put rho = norm(x), w = x / rho and eta_j = rho (y_j^+ - y_j^-).  Then
+phi = alpha / w = S^T eta, S the stacked rows A_j, and for every z
+
+    <phi, z> = sum_j <eta_j, A_j z> <= max_j (||eta_j||_1 / c_j) norm(z).
+
+The multipliers satisfy stationarity only to the barrier's accuracy, so the
+residual r = phi - S^T eta is folded into eta by one least-squares solve on
+S^T (full row rank, because CompositeNorm refuses stacked rows without full
+column rank), and what rounding leaves is paid for by <r, z> <=
+||r||_1 ||z||_inf <= ||r||_1 B on the unit ball, where
+
+    B = sqrt(R) / (min_j c_j * sigma_min(S)),   R = sum_j R_j.
+
+B bounds ||z||_inf there: ||z||_inf <= ||z||_2 <= ||S z||_2 / sigma_min(S)
+<= sqrt(R) max_j ||A_j z||_inf / sigma_min(S), and c_j ||A_j z||_inf <=
+norm(z) <= 1 for every j.  So dual_norm(phi) <= max_j ||eta_j||_1 / c_j +
+||r||_1 B, with no LP; ``gap`` is that bound minus 1.  It is never
+negative, because dual_norm(phi) >= <phi, w> = sum(alpha) = 1 on the
+sphere (up to the rounding the weight tolerance allows in the sum).
 
 The returned pair is rescaled to the unit sphere and the prices are the
-exact elementwise quotient phi_k = alpha_k / w_k.
+exact elementwise quotient phi_k = alpha_k / w_k.  ``certify`` checks it
+against a fresh simplex LP over the generators, so the solve never depends
+on the method that checks it.
 """
 
 from __future__ import annotations
@@ -35,6 +58,7 @@ from .core import (
 from .norms import (
     NormSpec,
     NotPolyhedral,
+    _blocks_of,
     dual_norm_lmo,
     eval_norm,
     generators,
@@ -43,7 +67,7 @@ from .norms import (
 
 
 class NonConvergence(ZengerError):
-    """Iteration budget exhausted with the duality gap still too large."""
+    """The barrier solve ended with the multiplier gap still too large."""
 
     def __init__(self, gap: float):
         self.gap = gap
@@ -52,7 +76,9 @@ class NonConvergence(ZengerError):
 
 @dataclass(frozen=True)
 class ZengerProblem:
-    """A weight vector alpha and a polyhedral norm whose unit ball to search."""
+    """A weight vector alpha and a polyhedral norm whose unit ball to search.
+
+    ``max_iterations`` caps the Newton steps of the barrier solve."""
 
     spec: NormSpec
     alpha: np.ndarray
@@ -77,7 +103,8 @@ class ZengerProblem:
 @dataclass(frozen=True)
 class ZengerPair:
     """Solution record: bundle w on the unit sphere, prices phi = alpha / w,
-    final duality gap, objective value, and the (objective, gap) trace."""
+    the gap (the multiplier bound on dual_norm(phi), minus 1), the objective
+    value, and the number of Newton steps taken."""
 
     w: np.ndarray
     phi: np.ndarray
@@ -85,7 +112,6 @@ class ZengerPair:
     gap: float
     objective: float
     iterations: int
-    trace: tuple
 
 
 @dataclass(frozen=True)
@@ -106,157 +132,148 @@ def log_utility(alpha: np.ndarray, x: np.ndarray) -> float:
 
 
 def solve_zenger(problem: ZengerProblem) -> ZengerPair:
-    """Polish along the log-barrier central path until the duality gap closes.
-
-    Each iteration measures the LP duality gap, stops when it is at most
-    tol.gap, and otherwise replaces the iterate by its barrier polish.  The
-    loop also stops when the polish fails or does not strictly raise F.
+    """One barrier solve on the lifted program; its multipliers give the gap.
 
     Parameters
     ----------
     problem : ZengerProblem
-        Norm spec, weights, tolerances, and the iteration budget.
+        Norm spec, weights, tolerances, and the Newton step budget.
 
     Returns
     -------
     ZengerPair
-        w on the unit sphere with phi = alpha / w; ``gap`` is the final
-        duality gap and ``trace`` records (objective, gap) per iteration.
+        w on the unit sphere with phi = alpha / w; ``gap`` bounds
+        dual_norm(phi) - 1 from above and ``iterations`` counts Newton
+        steps.
 
     Raises
     ------
     NonConvergence
-        If iteration stops with gap > 10 * tol.gap.
+        If the barrier solve ends with gap > 10 * tol.gap.
     """
     spec = problem.spec
     alpha = problem.alpha
-    tol = problem.tol
     n = alpha.size
-    U = generators(spec)
+    blocks = _blocks_of(spec)
+    J = len(blocks)
+    S = np.vstack([blk.matrix for blk in blocks])
+    coefs = np.array([blk.coef for blk in blocks])
+    rows = [blk.matrix.shape[0] for blk in blocks]
+    member = np.repeat(np.eye(J), rows, axis=0)
+    G = np.block([[S, -member], [-S, -member],
+                  [np.zeros((1, n)), coefs[None, :]]])
+    h = np.zeros(G.shape[0])
+    h[-1] = 1.0
 
+    # norm(x0) = 1/2; each t_j sits 0.25 / (J c_j) above its block, so the
+    # budget row keeps a slack of 1/4 as well
     ones = np.ones(n)
-    x = ones / (2.0 * eval_norm(spec, ones))
-    f = log_utility(alpha, x)
-    trace = []
-    converged = False
-    gap = math.inf
-    iterations = 0
+    x0 = ones / (2.0 * eval_norm(spec, ones))
+    t0 = np.array([np.max(np.abs(blk.matrix @ x0)) for blk in blocks])
+    t0 += 0.25 / (J * coefs)
 
-    for iterations in range(1, problem.max_iterations + 1):
-        grad = alpha / x
-        value, _ = dual_norm_lmo(spec, grad, gens=U)
-        gap = value - float(grad @ x)
-        trace.append((f, gap))
-        if gap <= tol.gap:
-            converged = True
-            break
-        refined = _barrier_refine(spec, U, alpha, x)
-        if refined is None:
-            break
-        fr = log_utility(alpha, refined)
-        if not fr > f:
-            # the polish is deterministic, so a polish that cannot raise F
-            # from x never will; strict ascent also rules out revisiting a
-            # point
-            break
-        x, f = refined, fr
-    else:
-        # reached only when the budget ran out right after a polish moved
-        # x; every break leaves x at the point whose gap was just measured
-        grad = alpha / x
-        value, _ = dual_norm_lmo(spec, grad, gens=U)
-        gap = value - float(grad @ x)
+    x, y, steps = _barrier_refine(G, h, alpha, np.concatenate([x0, t0]),
+                                  problem.max_iterations)
 
-    if not converged and gap > 10.0 * tol.gap:
+    rho = eval_norm(spec, x)
+    w = x / rho
+    phi = alpha / w
+    R = S.shape[0]
+    eta = rho * (y[:R] - y[R:2 * R])
+    eta += np.linalg.lstsq(S.T, phi - S.T @ eta, rcond=None)[0]
+    residual = float(np.sum(np.abs(phi - S.T @ eta)))
+    bound = math.sqrt(R) / (float(np.min(coefs))
+                            * np.linalg.svd(S, compute_uv=False)[-1])
+    per_block = np.add.reduceat(np.abs(eta), np.cumsum([0] + rows[:-1]))
+    per_block /= coefs
+    gap = float(np.max(per_block)) + residual * bound - 1.0
+    if not gap <= 10.0 * problem.tol.gap:
         raise NonConvergence(gap)
 
-    w = x / eval_norm(spec, x)
-    phi = alpha / w
     return ZengerPair(
         w=w,
         phi=phi,
         alpha=alpha,
         gap=gap,
         objective=log_utility(alpha, w),
-        iterations=iterations,
-        trace=tuple(trace),
+        iterations=steps,
     )
 
 
-def _barrier_refine(spec, U, alpha, x):
-    """Log-barrier polish toward the optimum on the ball's positive orthant.
+def _barrier_refine(G, h, alpha, v, budget):
+    """Primal-dual log-barrier solve of max F(x) subject to G v <= h.
 
-    solve_zenger starts from a positive multiple of the ones vector, and
-    the polish never leaves the positive orthant.  There the problem is the
-    smooth concave program max F(z) subject to the support-functional
-    inequalities U z <= 1, so the polish follows its central path: the
-    maximizers of F(z) + mu * sum_i log(s_i), s = 1 - U z, with mu cut by 8
-    from each centred point down to 1e-13.  The Newton steps are
-    primal-dual (Wright, "Primal-Dual Interior-Point Methods", 1997): the
-    system weighs row i by y_i / s_i, where y estimates the multipliers,
-    instead of the primal mu / s_i**2.  Right after a cut of mu, while the
-    slacks still sit at the old level, the primal weight is 8 times below
-    y / s, so its step overshoots the boundary and the fraction-to-boundary
-    rule cuts it short, step after step.  y follows the linearized
-    complementarity y * s = mu under its own fraction-to-boundary rule,
-    which keeps it positive.  Both rules keep the iterates strictly
-    interior, so no active-set bookkeeping is needed and degenerate
-    vertices cost nothing; the final complementarity gap is of order mu
-    times the count of active rows, comfortably below the solver's stopping
-    tolerance.  Driving mu further would push the tight slacks under the
-    rounding noise of recomputing 1 - U z, which is why it stops there.
-    Returns the polished point rescaled to the sphere (the caller re-checks
-    both the objective and the duality gap), or None on numerical failure.
+    v = (x, t) must start strictly inside with x > 0, and the iterates
+    stay there.  The solve follows the central path: the maximizers of
+    F(x) + mu * sum_i log(s_i), s = h - G v, with mu cut by 8 from each
+    centred point, from 1e-2 down to 1e-13.  F acts on the x part only;
+    its log keeps x positive, and the rows keep t above the blocks.  The
+    Newton steps are primal-dual (Wright, "Primal-Dual Interior-Point
+    Methods", 1997): the system weighs row i by y_i / s_i, where y
+    estimates the multipliers, instead of the primal mu / s_i**2.  Right
+    after a cut of mu, while the slacks still sit at the old level, the
+    primal weight is 8 times below y / s, so its step overshoots the
+    boundary and the fraction-to-boundary rule cuts it short, step after
+    step.  y follows the linearized complementarity y * s = mu under its
+    own fraction-to-boundary rule, which keeps it positive.  Both rules
+    keep the iterates strictly interior, so no active-set bookkeeping is
+    needed and degenerate vertices cost nothing.  Driving mu below 1e-13
+    would push the tight slacks under the rounding noise of recomputing
+    h - G v, which is why it stops there.
+
+    Takes at most ``budget`` Newton steps.  Returns (x, y, steps): the last
+    strictly feasible x, its multiplier estimates y (one per row of G) and
+    the number of Newton steps.  A numerical failure ends the solve early;
+    the caller's gap then shows how far it got.
     """
     mu = 1e-2
     mu_min = 1e-13
+    n = alpha.size
+    diag_x = np.arange(n)
 
-    r = eval_norm(spec, x)
-    if not np.isfinite(r) or r <= 0.0:
-        return None
-    # start matched to the first barrier level: a point pulled inward so
-    # its tightest slacks sit near mu, not squashed against the boundary
-    z = x * min(1.0, (1.0 - mu) / r)
-    s = 1.0 - U @ z
-    if np.min(s) <= 0.0:
-        return None
-
+    s = h - G @ v
     y = mu / s
-    for _ in range(400):
-        grad = alpha / z - U.T @ (mu / s)
-        H = np.diag(alpha / (z * z)) + (U.T * (y / s)[None, :]) @ U
+    steps = 0
+    while steps < budget:
+        x = v[:n]
+        grad = -(G.T @ (mu / s))
+        grad[:n] += alpha / x
+        H = (G.T * (y / s)[None, :]) @ G
+        H[diag_x, diag_x] += alpha / (x * x)
+        steps += 1
         try:
-            dz = np.linalg.solve(H, grad)
+            dv = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(dz)):
+        if not np.all(np.isfinite(dv)):
             break
-        decrement = float(grad @ dz)
+        decrement = float(grad @ dv)
         if decrement <= max(0.01 * mu, 1e-16):
             # centered at this barrier level; advancing mu only from a
-            # centered point keeps the slacks near mu / nu_i, which is what
+            # centered point keeps the slacks near mu / y_i, which is what
             # keeps the Newton systems solvable down to the last level
             if mu <= mu_min:
                 break
             mu = max(mu / 8.0, mu_min)
             continue
-        t = 1.0 / (1.0 + math.sqrt(decrement))
-        falling = dz < 0.0
+        step = 1.0 / (1.0 + math.sqrt(decrement))
+        falling = dv[:n] < 0.0
         if np.any(falling):
-            t = min(t, 0.99 * float(np.min(-z[falling] / dz[falling])))
-        rates = U @ dz
+            step = min(step, 0.99 * float(np.min(-x[falling]
+                                                 / dv[:n][falling])))
+        rates = G @ dv
         rising = rates > 0.0
         if np.any(rising):
-            t = min(t, 0.99 * float(np.min(s[rising] / rates[rising])))
-        if t <= 0.0:
+            step = min(step, 0.99 * float(np.min(s[rising] / rates[rising])))
+        if step <= 0.0:
             break
-        z_next = z + t * dz
-        s_next = 1.0 - U @ z_next
-        if np.min(z_next) <= 0.0 or np.min(s_next) <= 0.0:
+        v_next = v + step * dv
+        s_next = h - G @ v_next
+        if np.min(v_next[:n]) <= 0.0 or np.min(s_next) <= 0.0:
             # the slack recompute drowned in rounding noise; keep the last
             # strictly feasible point
             break
-        if np.array_equal(z_next, z):
+        if np.array_equal(v_next, v):
             break
         dy = (mu - y * s) / s + (y / s) * rates
         t_dual = 1.0
@@ -265,19 +282,17 @@ def _barrier_refine(spec, U, alpha, x):
             t_dual = min(1.0, 0.99 * float(np.min(-y[shrinking]
                                                    / dy[shrinking])))
         y = y + t_dual * dy
-        z, s = z_next, s_next
+        v, s = v_next, s_next
 
-    scale = eval_norm(spec, z)
-    if not np.isfinite(scale) or scale <= 0.0:
-        return None
-    return z / scale
+    return v[:n], y, steps
 
 
 def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:
     """Recompute the four dual-pair residuals from scratch.
 
     norm_residual   : |norm(w) - 1|
-    dual_residual   : |dual_norm(phi) - 1| via a fresh LP
+    dual_residual   : |dual_norm(phi) - 1| via a fresh simplex LP over the
+                      generators, independent of the solve's multipliers
     pairing_residual: |sum w_k phi_k - 1|
     factor_residual : max_k |w_k phi_k - alpha_k|
 
@@ -289,7 +304,8 @@ def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:
     phi = as_vector(pair.phi)
     alpha = problem.alpha
     norm_residual = abs(eval_norm(spec, w) - 1.0)
-    dual_residual = abs(dual_norm_lmo(spec, phi).value - 1.0)
+    dual = dual_norm_lmo(spec, phi, gens=generators(spec)).value
+    dual_residual = abs(dual - 1.0)
     pairing_residual = abs(float(w @ phi) - 1.0)
     factor_residual = float(np.max(np.abs(w * phi - alpha)))
     ok = all(

@@ -112,4 +112,4 @@ def brute_force_zenger(problem) -> ZengerPair:
     phi = alpha / w
     gap = dual_norm_lmo(spec, phi).value - 1.0
     return ZengerPair(w=w, phi=phi, alpha=alpha, gap=gap,
-                      objective=log_utility(alpha, w), iterations=0, trace=())
+                      objective=log_utility(alpha, w), iterations=0)

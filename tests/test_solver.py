@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from zenger import (
     certify,
     dual_norm_lmo,
     eval_norm,
+    generators,
     geometric_alpha,
     log_utility,
     solve_zenger,
@@ -42,6 +44,19 @@ def random_composite(rng, n, max_blocks=3):
 def random_alpha(rng, n):
     a = rng.uniform(0.1, 1.0, size=n)
     return a / a.sum()
+
+
+def highs_dual_norm(spec, g):
+    # an independent lower bound on dual_norm(g): the value of HiGHS's
+    # maximizer of the generator LP, rescaled onto the unit sphere so that
+    # HiGHS's feasibility tolerance cannot lift it; scipy is a test oracle
+    # only
+    optimize = pytest.importorskip("scipy.optimize")
+    U = generators(spec)
+    res = optimize.linprog(-np.asarray(g), A_ub=U, b_ub=np.ones(U.shape[0]),
+                           bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return float(g @ res.x) / eval_norm(spec, res.x)
 
 
 def test_problem_validation():
@@ -96,21 +111,10 @@ def test_pair_invariants():
         assert np.array_equal(pair.phi, problem.alpha / pair.w)
 
 
-def test_monotone_ascent_along_trace():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        problem = ZengerProblem(spec=random_composite(rng, n),
-                                alpha=random_alpha(rng, n))
-        pair = solve_zenger(problem)
-        objectives = [f for f, _ in pair.trace]
-        assert all(b >= a for a, b in zip(objectives, objectives[1:]))
-
-
 def test_coordinate_floor():
-    # monotone ascent keeps every coordinate of the returned point above
-    # exp(F(x0)/alpha_k)/2: one small coordinate would sink F below its
-    # starting value
+    # the optimum beats the barrier's start x0, which keeps every
+    # coordinate of the returned point above exp(F(x0)/alpha_k)/2: one
+    # small coordinate would sink F below its starting value
     rng = np.random.default_rng(44)
     for _ in range(10):
         n = int(rng.integers(2, 6))
@@ -172,15 +176,14 @@ def test_scale_invariance():
     )
     assert np.max(np.abs(scaled.w - base.w / 2.5)) <= 1e-9
     assert np.max(np.abs(scaled.phi - base.phi * 2.5)) <= 1e-9
-    assert len(scaled.trace) == len(base.trace)
-    for (_, g1), (_, g2) in zip(base.trace, scaled.trace):
-        assert abs(g1 - g2) <= 1e-9
+    assert scaled.iterations == base.iterations
+    assert abs(scaled.gap - base.gap) <= 1e-9
 
 
 def one_iteration_problem():
     # an unreachable gap tolerance turns finite termination into the error;
-    # one iteration is not enough here because the optimum sits in a
-    # different orthant than the starting point, so the gap stays positive
+    # one Newton step leaves the barrier far from the optimum, so the gap
+    # stays positive
     rng = np.random.default_rng(0)
     return ZengerProblem(
         spec=random_composite(rng, 4),
@@ -191,12 +194,12 @@ def one_iteration_problem():
 
 
 def stalled_instance():
-    # columns scaled over six decades and one weight shrunk by 1e-6: the
-    # barrier polish stalls far from the optimum with the gap still open.
-    # The simplex is unreliable at this scaling too: the second dual-norm
-    # LP ends at a basic point that violates a row by 388 relative to
-    # 1 + |b|, and the feasibility check on every optimum refuses it
-    # instead of letting a wrong gap through
+    # columns scaled over six decades and one weight shrunk by 1e-6.  The
+    # barrier solve on the lifted program closes its multiplier gap here,
+    # but the simplex is unreliable at this scaling: certify's dual-norm LP
+    # ends at a basic point that violates a row by 388 relative to 1 + |b|,
+    # and the feasibility check on every optimum refuses it instead of
+    # letting a wrong residual through
     rng = np.random.default_rng(9)
     n = 4
     blocks = [(float(rng.uniform(0.3, 2.0)),
@@ -216,12 +219,28 @@ def test_nonconvergence_is_raised():
     assert exc.value.gap > 0.0
 
 
+def test_max_iterations_caps_newton_steps():
+    problem = ZengerProblem(spec=Example2Norm(12),
+                            alpha=geometric_alpha(0.25, 12))
+    pair = solve_zenger(problem)
+    capped = solve_zenger(replace(problem, max_iterations=pair.iterations))
+    assert capped.iterations == pair.iterations
+    assert np.array_equal(capped.w, pair.w)
+    with pytest.raises(NonConvergence):
+        solve_zenger(replace(problem, max_iterations=pair.iterations // 2))
+
+
 def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
+    # the pair is right and only certify's simplex fails: the bracket
+    # closes to about 1e-12 and HiGHS reads dual_norm(phi) = 1 - 3.8e-13,
+    # yet `zenger solve` exits 3 on the simplex's LPFailure
     blocks, alpha = stalled_instance()
     n = alpha.size
+    problem = ZengerProblem(spec=CompositeNorm(tuple(blocks)), alpha=alpha)
+    pair = solve_zenger(problem)
+    assert 0.0 <= pair.gap <= problem.tol.gap
     with pytest.raises(LPFailure):
-        solve_zenger(ZengerProblem(spec=CompositeNorm(tuple(blocks)),
-                                   alpha=alpha))
+        certify(pair, problem)
     doc = {
         "norm": {
             "type": "composite",
@@ -235,72 +254,15 @@ def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["solve", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
-
-
-def test_gap_is_measured_once_per_point(monkeypatch):
-    # the tail re-measure runs only when the iteration budget ran out right
-    # after a polish moved x; a stalled polish leaves x at the point whose
-    # gap the loop just measured
-    calls = []
-
-    def counting_lmo(*args, **kwargs):
-        calls.append(args[1].copy())
-        return dual_norm_lmo(*args, **kwargs)
-
-    monkeypatch.setattr("zenger.solver.dual_norm_lmo", counting_lmo)
-
-    blocks, alpha = stalled_instance()
-    with pytest.raises(LPFailure):
-        solve_zenger(ZengerProblem(spec=CompositeNorm(tuple(blocks)),
-                                   alpha=alpha))
-    assert len(calls) == 2
-
-    calls.clear()
-    with pytest.raises(NonConvergence):
-        solve_zenger(one_iteration_problem())
-    # the polish moved x, so the second call sees a new gradient
-    assert len(calls) == 2
-    assert not np.array_equal(calls[0], calls[1])
-
-
-def test_stalled_polish_is_not_measured_again(monkeypatch):
-    # a well-conditioned solve whose polish stalls with the gap at LP noise,
-    # above 10 * tol.gap: the loop stops at the point whose gap it just
-    # measured, so the solve raises with one LP per iteration and no tail
-    # re-measure
-    lmo_calls = []
-    polishes = []
-    real_refine = zenger.solver._barrier_refine
-
-    def counting_lmo(*args, **kwargs):
-        lmo_calls.append(args[1].copy())
-        return dual_norm_lmo(*args, **kwargs)
-
-    def counting_refine(*args, **kwargs):
-        polishes.append(None)
-        return real_refine(*args, **kwargs)
-
-    monkeypatch.setattr("zenger.solver.dual_norm_lmo", counting_lmo)
-    monkeypatch.setattr(zenger.solver, "_barrier_refine", counting_refine)
-
-    rng = np.random.default_rng(2)
-    n = int(rng.integers(2, 5))
-    problem = ZengerProblem(spec=random_composite(rng, n),
-                            alpha=random_alpha(rng, n),
-                            tol=Tolerances(gap=1e-15), max_iterations=50)
-    with pytest.raises(NonConvergence):
-        solve_zenger(problem)
-    # every iteration measured its gap once and then polished; the budget
-    # was not the reason to stop
-    assert len(lmo_calls) == len(polishes) < problem.max_iterations
-    assert len({g.tobytes() for g in lmo_calls}) == len(lmo_calls)
+    value = highs_dual_norm(problem.spec, pair.phi)
+    assert 1.0 - 1e-12 <= value <= 1.0 + pair.gap + 1e-12
 
 
 def test_barrier_polish_step_budget(monkeypatch):
     # the 50 criterion-1 instances: primal-dual Newton steps (weight y / s
-    # with multiplier estimates y) need 33-46 solves per polish, where the
-    # primal weight mu / s**2 needed 88-113, mostly short steps right after
-    # each cut of mu
+    # with multiplier estimates y) need 35-46 solves on the lifted program;
+    # on the generator rows the primal weight mu / s**2 needed 88-113,
+    # mostly short steps right after each cut of mu
     solves = []
     steps = []
     real_solve = np.linalg.solve
@@ -328,6 +290,70 @@ def test_barrier_polish_step_budget(monkeypatch):
         assert certify(pair, problem).ok
     assert steps
     assert max(steps) <= 60
+
+
+def criterion_1_problems():
+    rng = np.random.default_rng(101)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        yield ZengerProblem(spec=random_composite(rng, n),
+                            alpha=random_alpha(rng, n))
+
+
+def test_gap_brackets_an_independent_dual_norm():
+    # the multiplier gap bounds dual_norm(phi) - 1 from above, so no point
+    # of the ball may beat 1 + gap.  dual_norm(phi) >= <phi, w> = 1 on the
+    # sphere, and HiGHS's maximizer comes within its optimality tolerance
+    # of that: its worst shortfall here is 1.3e-11 (the 19th), so the
+    # lower side allows 1e-10
+    for problem in criterion_1_problems():
+        pair = solve_zenger(problem)
+        value = highs_dual_norm(problem.spec, pair.phi)
+        assert 1.0 - 1e-10 <= value <= 1.0 + pair.gap + 1e-12
+
+
+def test_example2_gap_is_never_negative():
+    # the LP-measured gap read -1.16e-10 and -1.87e-10 here, below the
+    # floor dual_norm(phi) - 1 >= 0: the simplex stopped short of the
+    # optimum.  The multiplier gap is an upper bound and cannot
+    for n in (30, 40):
+        problem = ZengerProblem(spec=Example2Norm(n),
+                                alpha=geometric_alpha(0.5, n))
+        pair = solve_zenger(problem)
+        assert 0.0 <= pair.gap <= problem.tol.gap
+
+
+def test_solve_scales_with_the_norm_description():
+    # 400 block rows, where the generator expansion would need 4 * 200**2
+    # rows of dimension 200 and is refused; the lifted program has 801
+    problem = ZengerProblem(
+        spec=Example2Norm(200),
+        alpha=np.random.default_rng(7).dirichlet(np.ones(200)),
+    )
+    start = time.perf_counter()
+    pair = solve_zenger(problem)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 <= pair.gap <= problem.tol.gap
+    assert abs(eval_norm(problem.spec, pair.w) - 1.0) <= 1e-12
+
+
+def test_solve_runs_no_lp(monkeypatch):
+    # the gap comes from the barrier's multipliers: no generator expansion
+    # and no simplex on the solve path; certify keeps its fresh LP
+    calls = []
+    for module, name in ((zenger.solver, "generators"),
+                         (zenger.solver, "dual_norm_lmo"),
+                         (zenger.lp, "solve_lp")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    problem = next(criterion_1_problems())
+    pair = solve_zenger(problem)
+    assert pair.gap <= problem.tol.gap
+    assert calls == []
+    certify(pair, problem)
+    assert calls == ["generators", "dual_norm_lmo", "solve_lp"]
 
 
 def test_brute_force_closed_forms():
