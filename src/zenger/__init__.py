@@ -21,7 +21,6 @@ from .core import (
     validate_weights,
 )
 from .lp import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -93,7 +92,6 @@ __all__ = [
     "Example2Norm",
     "GeneratorBlowup",
     "HullCheck",
-    "INFEASIBLE",
     "LPError",
     "LPFailure",
     "LPResult",

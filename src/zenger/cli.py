@@ -277,9 +277,10 @@ def cmd_solve(args) -> int:
         )
     tolerances = parsed.tolerances
     if args.tol is not None:
-        if args.tol <= 0.0:
+        tol = _number(args.tol, "--tol")
+        if tol <= 0.0:
             raise ParseError("--tol must be positive")
-        tolerances = replace(tolerances, certificate=args.tol)
+        tolerances = replace(tolerances, certificate=tol)
     max_iterations = (
         args.max_iter if args.max_iter is not None else parsed.max_iterations
     )

@@ -1,12 +1,12 @@
 """Dictionary simplex with Bland's rule.
 
 Problems are stated as: maximize <c, x> subject to A x <= b with x free.
-Free variables are split as x = u - v, slacks make rows equalities, and rows
-with negative right-hand side get a big-M artificial.  No presolve.  The
-simplex keeps the tableau in dictionary form (Chvatal, "Linear
-Programming", 1983, ch. 2-3): basic columns are unit columns, so only the
-nonbasic columns and the right-hand side are stored.  Deterministic by
-construction, so repeated runs give bit-identical answers.
+Free variables are split as x = u - v and slacks make rows equalities.  The
+rhs must be nonnegative, so the origin is feasible and the slack basis
+starts the simplex: no phase one, no presolve.  The tableau is kept in
+dictionary form (Chvatal, "Linear Programming", 1983, ch. 2-3): only the
+nonbasic columns and the rhs are stored.  Deterministic by construction,
+so repeated runs give bit-identical answers.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import numpy as np
 from .core import ZengerError, as_vector
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 PIVOT_EPS = 1e-12  # pivot magnitudes below this abort the run
 COST_EPS = 1e-9    # reduced costs within this of zero count as optimal
-ACTIVE_EPS = 1e-9  # constraint slack below this counts as active
+ACTIVE_EPS = 1e-9  # an optimum may violate a row by this * (1 + |b_i|)
 
 
 class LPError(ZengerError):
@@ -57,6 +56,10 @@ class LinearProgram:
             )
         if not np.all(np.isfinite(A)):
             raise ValueError("constraint entries must be finite")
+        if np.any(b < 0):
+            i = int(np.argmax(b < 0))
+            raise ValueError(f"rhs[{i}] = {float(b[i])} is negative: "
+                             "the origin must be feasible")
         A = A.copy()
         for arr in (c, A, b):
             arr.setflags(write=False)
@@ -70,7 +73,6 @@ class LPResult:
     status: str
     value: float
     point: np.ndarray | None
-    active_set: np.ndarray | None
 
 
 def default_pivot_cap(m: int, n: int) -> int:
@@ -78,21 +80,20 @@ def default_pivot_cap(m: int, n: int) -> int:
     return 1000 + 50 * (m + 2 * n)
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
-    """Solve ``lp`` by the primal simplex method.
+def solve_lp(lp: LinearProgram) -> LPResult:
+    """Solve ``lp`` by the primal simplex method from the slack basis.
 
-    Variables are labelled u (0..n-1), v (n..2n-1), slacks (2n..2n+m-1)
-    and artificials (from 2n+m).  Entering variable: lowest label with
-    improving reduced cost (Bland).  Leaving variable: minimum ratio, ties
-    broken by lowest basic label.  Raises :class:`MaxPivotsExceeded`, or
-    :class:`NumericalBreakdown` on a tiny pivot or on an optimum that
-    violates a row by more than ACTIVE_EPS * (1 + |b_i|); infeasible and
-    unbounded problems are reported through ``status``.
+    Variables are labelled u (0..n-1), v (n..2n-1) and slacks (2n..).
+    Entering variable: lowest label with improving reduced cost (Bland).
+    Leaving variable: minimum ratio, ties broken by lowest basic label.
+    Raises :class:`MaxPivotsExceeded` after ``default_pivot_cap(m, n)``
+    pivots, or :class:`NumericalBreakdown` on a tiny pivot or on an optimum
+    that violates a row by more than ACTIVE_EPS * (1 + |b_i|); unbounded
+    problems are reported through ``status``.
 
     The dictionary ``D`` holds one column per nonbasic variable (labels in
-    ``nonbasic``) plus the rhs: m x (2n + k + 1) floats for k rows with
-    negative rhs, O(m * n) memory for the dual-norm LPs (k = 0).  A pivot
-    costs O(m * (2n + k)).
+    ``nonbasic``) plus the rhs: m x (2n + 1) floats, and a pivot costs
+    O(m * n).
 
     The returned point is the optimal basic point the pivots reach; it is
     a vertex of the feasible region whenever the optimum is unique.
@@ -101,37 +102,22 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
     A = np.asarray(lp.lhs, dtype=float)
     b = np.asarray(lp.rhs, dtype=float)
     m, n = A.shape
-    if max_pivots is None:
-        max_pivots = default_pivot_cap(m, n)
+    cap = default_pivot_cap(m, n)
 
-    # Rows with negative rhs are flipped so the rhs is nonnegative; their
-    # slack coefficient becomes -1, so the slack starts nonbasic and an
-    # artificial takes its place in the basis.
-    neg = b < 0
-    flip = np.where(neg, -1.0, 1.0)
-    art_rows = np.nonzero(neg)[0]
-    k = art_rows.size
-
-    D = np.zeros((m, 2 * n + k + 1))
-    D[:, :n] = A * flip[:, None]
-    D[:, n:2 * n] = -D[:, :n]
-    D[art_rows, 2 * n + np.arange(k)] = -1.0
-    D[:, -1] = b * flip
-    nonbasic = np.concatenate([np.arange(2 * n), 2 * n + art_rows])
+    D = np.zeros((m, 2 * n + 1))
+    D[:, :n] = A
+    D[:, n:2 * n] = -A
+    D[:, -1] = b
+    nonbasic = np.arange(2 * n)
     basis = 2 * n + np.arange(m)
-    basis[art_rows] = 2 * n + m + np.arange(k)
 
     # z holds the reduced costs cost_B B^-1 N - cost_N and, last, the rhs
-    # term; optimal when every entry >= -COST_EPS.  The artificials start
-    # basic at cost -M, so each of their rows enters z with weight -M.
-    big_m = 1e7 * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    z = np.zeros(2 * n + k + 1)
+    # term; optimal when every entry >= -COST_EPS.  Slacks cost nothing.
+    z = np.zeros(2 * n + 1)
     z[:n] = -c
     z[n:2 * n] = c
-    for i in art_rows:
-        z -= big_m * D[i]
 
-    for _ in range(max_pivots):
+    for _ in range(cap):
         improving = np.nonzero(z[:-1] < -COST_EPS)[0]
         if improving.size == 0:
             break
@@ -142,16 +128,12 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
             if np.any(col > 0):
                 raise NumericalBreakdown(f"pivot column {nonbasic[p]} has "
                                          f"only entries below {PIVOT_EPS}")
-            if k and np.any(D[basis >= 2 * n + m, -1] > 1e-7):
-                return LPResult(INFEASIBLE, float("nan"), None, None)
-            return LPResult(UNBOUNDED, float("inf"), None, None)
+            return LPResult(UNBOUNDED, float("inf"), None)
         ratios = D[eligible, -1] / col[eligible]
         best = np.min(ratios)
         tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
         r = int(tied[np.argmin(basis[tied])])
         piv = col[r]
-        if abs(piv) < PIVOT_EPS:
-            raise NumericalBreakdown(f"pivot magnitude {abs(piv):.3e}")
         # slot p takes the leaving variable, whose column is e_r before the
         # pivot; every entry then gets the update the full tableau would do
         col[r] = 0.0
@@ -164,12 +146,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
         z -= z_p * D[r]
         basis[r], nonbasic[p] = nonbasic[p], basis[r]
     else:
-        raise MaxPivotsExceeded(f"no optimum within {max_pivots} pivots")
-
-    if k:
-        art_level = D[basis >= 2 * n + m, -1]
-        if art_level.size and np.max(art_level) > 1e-7:
-            return LPResult(INFEASIBLE, float("nan"), None, None)
+        raise MaxPivotsExceeded(f"no optimum within {cap} pivots")
 
     x = np.zeros(n)
     for i, j in enumerate(basis):
@@ -184,6 +161,5 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LPResult:
     worst = -float(np.min(slack / scale, initial=0.0))
     if worst > ACTIVE_EPS:
         raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
-    active = np.nonzero(slack <= ACTIVE_EPS * scale)[0]
-    return LPResult(OPTIMAL, value, x, active)
+    return LPResult(OPTIMAL, value, x)
 

@@ -142,30 +142,97 @@ def test_solve_generator_blowup(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [
-    {"norm": {"type": "sup", "dimension": 3}},
-    {"norm": {"type": "sup", "dimension": 3}, "alpha": [0.2, 0.3, 0.5],
-     "surprise": 1},
-    {"norm": {"type": "l2", "dimension": 3}, "alpha": [1.0]},
-    {"norm": {"type": "sup", "dimension": 3, "blocks": []},
-     "alpha": [0.2, 0.3, 0.5]},
-    {"norm": {"type": "composite", "dimension": 2}, "alpha": [0.5, 0.5]},
-    {"norm": {"type": "sup", "dimension": 3}, "alpha": [0.2, 0.3, 0.5],
-     "tolerances": {"gap": -1.0}},
-    {"norm": {"type": "example1_tail", "dimension": 3}, "alpha": [1.0]},
-    {"norm": {"type": "example1_tail"}, "alpha": {"rule": "geometric",
-                                                  "ratio": 0.5}},
-    {"norm": {"type": "sup", "dimension": 3}, "alpha": [0.5, 0.5]},
-    {"norm": {"type": "sup", "dimension": 3}, "alpha": [0.2, 0.3, 0.5],
-     "tolerances": {"line_search": 1e-12}},
-], ids=[
-    "missing-alpha", "unknown-key", "bad-norm-type", "blocks-on-sup",
-    "composite-without-blocks", "bad-tolerance", "tail-with-dimension",
-    "solve-on-tail-norm", "alpha-length-mismatch", "line-search-tolerance",
-])
-def test_solve_parse_failures(tmp_path, capsys, doc):
+SUP3 = {"type": "sup", "dimension": 3}
+ALPHA3 = [0.2, 0.3, 0.5]
+
+
+def composite2(*blocks):
+    return {"norm": {"type": "composite", "dimension": 2, "blocks": list(blocks)},
+            "alpha": [0.5, 0.5]}
+
+
+# (id, problem document, a fragment of the error message that names the
+# branch of the parser that refuses it)
+PARSE_FAILURES = [
+    ("missing-alpha", {"norm": SUP3}, 'missing "alpha"'),
+    ("unknown-key", {"norm": SUP3, "alpha": ALPHA3, "surprise": 1},
+     "unknown key(s) in problem file: surprise"),
+    ("bad-norm-type", {"norm": {"type": "l2", "dimension": 3}, "alpha": [1.0]},
+     '"norm.type" must be one of'),
+    ("blocks-on-sup", {"norm": {**SUP3, "blocks": []}, "alpha": ALPHA3},
+     "sup norm takes no blocks"),
+    ("composite-without-blocks",
+     {"norm": {"type": "composite", "dimension": 2}, "alpha": [0.5, 0.5]},
+     'composite norm requires a nonempty "blocks" list'),
+    ("bad-tolerance", {"norm": SUP3, "alpha": ALPHA3,
+                       "tolerances": {"gap": -1.0}},
+     '"tolerances.gap" must be positive'),
+    ("tail-with-dimension",
+     {"norm": {"type": "example1_tail", "dimension": 3}, "alpha": [1.0]},
+     "example1_tail takes neither dimension nor blocks"),
+    ("solve-on-tail-norm", {"norm": {"type": "example1_tail"},
+                            "alpha": {"rule": "geometric", "ratio": 0.5}},
+     "solve needs a finite-dimensional norm"),
+    ("alpha-length-mismatch", {"norm": SUP3, "alpha": [0.5, 0.5]},
+     "2 weights against a dimension-3 norm"),
+    ("line-search-tolerance", {"norm": SUP3, "alpha": ALPHA3,
+                               "tolerances": {"line_search": 1e-12}},
+     'unknown key(s) in "tolerances": line_search'),
+    ("non-number", composite2({"coef": "1", "matrix": [[1.0, 0.0]]}),
+     '"norm.blocks[0]".coef must be a number'),
+    ("non-finite", {"norm": SUP3, "alpha": [0.2, 0.3, float("nan")]},
+     '"alpha" must be finite'),
+    ("norm-not-object", {"norm": "sup", "alpha": ALPHA3},
+     '"norm" must be an object'),
+    ("missing-dimension", {"norm": {"type": "sup"}, "alpha": ALPHA3},
+     'norm type sup requires "dimension"'),
+    ("bad-dimension", {"norm": {"type": "sup", "dimension": 0}, "alpha": [1.0]},
+     '"norm.dimension" must be a positive integer'),
+    ("blocks-on-example2",
+     {"norm": {"type": "example2", "dimension": 2, "blocks": []},
+      "alpha": [0.5, 0.5]},
+     "example2 norm takes no blocks"),
+    ("block-not-object", composite2([[1.0, 0.0]]),
+     '"norm.blocks[0]" must be an object'),
+    ("block-without-matrix", composite2({"coef": 1.0}),
+     '"norm.blocks[0]" requires "coef" and "matrix"'),
+    ("block-empty-matrix", composite2({"coef": 1.0, "matrix": []}),
+     '"norm.blocks[0]".matrix must be a nonempty list of rows'),
+    ("block-short-row", composite2({"coef": 1.0, "matrix": [[1.0]]}),
+     '"norm.blocks[0]".matrix row 0 must list 2 numbers'),
+    ("empty-alpha", {"norm": SUP3, "alpha": []}, '"alpha" list must be nonempty'),
+    ("unknown-alpha-rule", {"norm": SUP3, "alpha": {"rule": "harmonic"}},
+     'the only supported alpha rule is "geometric"'),
+    ("alpha-without-ratio", {"norm": SUP3, "alpha": {"rule": "geometric"}},
+     'alpha rule requires "ratio"'),
+    ("alpha-ratio-outside", {"norm": SUP3,
+                             "alpha": {"rule": "geometric", "ratio": 1.5}},
+     '"alpha.ratio" must lie strictly between 0 and 1'),
+    ("alpha-neither", {"norm": SUP3, "alpha": "uniform"},
+     '"alpha" must be a list of numbers or a rule object'),
+    ("tolerances-not-object", {"norm": SUP3, "alpha": ALPHA3,
+                               "tolerances": [1e-6]},
+     '"tolerances" must be an object'),
+    ("top-level-not-object", [SUP3, ALPHA3],
+     "problem file must be a JSON object"),
+    ("missing-norm", {"alpha": ALPHA3}, 'problem file is missing "norm"'),
+    ("bad-max-iterations", {"norm": SUP3, "alpha": ALPHA3, "max_iterations": 0},
+     '"max_iterations" must be a positive integer'),
+]
+
+
+@pytest.mark.parametrize("doc, message", [case[1:] for case in PARSE_FAILURES],
+                         ids=[case[0] for case in PARSE_FAILURES])
+def test_solve_parse_failures(tmp_path, capsys, doc, message):
     assert main(["solve", write_problem(tmp_path, doc)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+def test_solve_rejects_a_bad_tol(tmp_path, capsys, tol):
+    # a non-finite --tol is refused like a non-finite "tolerances.certificate"
+    assert main(["solve", sup3(tmp_path), "--tol", tol]) == 2
+    assert "error: --tol must be" in capsys.readouterr().err
 
 
 def test_solve_missing_alpha_names_the_key(tmp_path, capsys):

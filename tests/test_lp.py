@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import zenger.lp
 from zenger import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     CompositeNorm,
@@ -17,7 +17,7 @@ from zenger import (
     generators,
     solve_lp,
 )
-from zenger.lp import ACTIVE_EPS, COST_EPS, PIVOT_EPS, default_pivot_cap
+from zenger.lp import COST_EPS, PIVOT_EPS, default_pivot_cap
 
 from oracle import TooLarge, brute_force_vertices
 
@@ -48,9 +48,15 @@ def test_box_maximum():
 
 
 def test_infeasible_bounds():
-    lp = LinearProgram(np.array([1.0]), np.array([[1.0], [-1.0]]),
-                       np.array([-1.0, -2.0]))
-    assert solve_lp(lp).status == INFEASIBLE
+    # a negative rhs cuts the origin off, so the program is refused before
+    # any pivot; so are seeded LPs 113 and 489, which are unbounded
+    with pytest.raises(ValueError, match=r"rhs\[0\] = -1.0 is negative"):
+        LinearProgram(np.array([1.0]), np.array([[1.0], [-1.0]]),
+                      np.array([-1.0, -2.0]))
+    draws = mixed_draws()
+    for i in (113, 489):
+        with pytest.raises(ValueError, match="the origin must be feasible"):
+            LinearProgram(*draws[i])
 
 
 def test_unbounded_ray():
@@ -83,7 +89,6 @@ def test_result_point_is_a_vertex():
         active = np.nonzero(lp.rhs - lp.lhs @ result.point
                             <= 1e-9 * (1.0 + np.abs(lp.rhs)))[0]
         assert active.size >= n
-        assert np.array_equal(result.active_set, active)
 
 
 def test_objective_scaling_is_exact():
@@ -98,9 +103,10 @@ def test_objective_scaling_is_exact():
         assert np.array_equal(doubled.point, base.point)
 
 
-def test_pivot_cap_raises():
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(zenger.lp, "default_pivot_cap", lambda m, n: 1)
     with pytest.raises(MaxPivotsExceeded):
-        solve_lp(box_lp(), max_pivots=1)
+        solve_lp(box_lp())
 
 
 def test_brute_force_box():
@@ -177,36 +183,19 @@ def _full_update_simplex(lp, max_pivots=None):
     if max_pivots is None:
         max_pivots = default_pivot_cap(m, n)
 
-    neg = b < 0
-    flip = np.where(neg, -1.0, 1.0)
-    A2 = A * flip[:, None]
-    b2 = b * flip
-    art_rows = np.nonzero(neg)[0]
-    k = art_rows.size
-
-    ncols = 2 * n + m + k
+    ncols = 2 * n + m
     T = np.zeros((m, ncols + 1))
-    T[:, :n] = A2
-    T[:, n:2 * n] = -A2
-    T[np.arange(m), 2 * n + np.arange(m)] = flip
-    for j, i in enumerate(art_rows):
-        T[i, 2 * n + m + j] = 1.0
-    T[:, -1] = b2
+    T[:, :n] = A
+    T[:, n:2 * n] = -A
+    T[np.arange(m), 2 * n + np.arange(m)] = 1.0
+    T[:, -1] = b
 
     cost = np.zeros(ncols)
     cost[:n] = c
     cost[n:2 * n] = -c
-    big_m = 1e7 * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    cost[2 * n + m:] = -big_m
 
     basis = 2 * n + np.arange(m)
-    if k:
-        basis[art_rows] = 2 * n + m + np.arange(k)
-
-    z = -cost.copy()
-    z = np.append(z, 0.0)
-    for i in art_rows:
-        z -= big_m * T[i]
+    z = np.append(-cost, 0.0)
 
     for _ in range(max_pivots):
         improving = np.nonzero(z[:-1] < -COST_EPS)[0]
@@ -220,9 +209,7 @@ def _full_update_simplex(lp, max_pivots=None):
                 raise NumericalBreakdown(
                     f"pivot column {e} has only entries below {PIVOT_EPS}"
                 )
-            if k and np.any(T[np.isin(basis, range(2 * n + m, ncols)), -1] > 1e-7):
-                return LPResult(INFEASIBLE, float("nan"), None, None)
-            return LPResult(UNBOUNDED, float("inf"), None, None)
+            return LPResult(UNBOUNDED, float("inf"), None)
         ratios = T[eligible, -1] / col[eligible]
         best = np.min(ratios)
         tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
@@ -239,11 +226,6 @@ def _full_update_simplex(lp, max_pivots=None):
     else:
         raise MaxPivotsExceeded(f"no optimum within {max_pivots} pivots")
 
-    if k:
-        art_level = T[np.isin(basis, range(2 * n + m, ncols)), -1]
-        if art_level.size and np.max(art_level) > 1e-7:
-            return LPResult(INFEASIBLE, float("nan"), None, None)
-
     x = np.zeros(n)
     for i, j in enumerate(basis):
         if j < n:
@@ -252,8 +234,7 @@ def _full_update_simplex(lp, max_pivots=None):
             x[j - n] -= T[i, -1]
 
     value = float(c @ x)
-    active = np.nonzero(b - A @ x <= ACTIVE_EPS * (1.0 + np.abs(b)))[0]
-    return LPResult(OPTIMAL, value, x, active)
+    return LPResult(OPTIMAL, value, x)
 
 
 def _outcome(solve, lp):
@@ -263,15 +244,14 @@ def _outcome(solve, lp):
     except LPError as exc:
         return type(exc), str(exc)
     point = None if result.point is None else result.point.tobytes()
-    active = None if result.active_set is None else result.active_set.tobytes()
-    return result.status, np.float64(result.value).tobytes(), point, active
+    return result.status, np.float64(result.value).tobytes(), point
 
 
 def random_mixed_lp(rng):
-    # small LPs of every outcome: rounded entries make ties and degenerate
-    # vertices, negative right-hand sides take the big-M artificial path,
-    # unit objectives make optimal faces, and nothing keeps the region
-    # bounded or nonempty
+    # (objective, lhs, rhs) of small LPs of every outcome: rounded entries
+    # make ties and degenerate vertices, unit objectives make optimal faces,
+    # and nothing keeps the region bounded; a negative rhs cuts the origin
+    # off, and such a program is refused
     n = int(rng.integers(1, 6))
     m = int(rng.integers(1, 31))
     A = rng.normal(size=(m, n))
@@ -285,12 +265,22 @@ def random_mixed_lp(rng):
         c[int(rng.integers(n))] = 1.0
     else:
         c = rng.normal(size=n)
-    return LinearProgram(c, A, b)
+    return c, A, b
+
+
+def mixed_draws():
+    rng = np.random.default_rng(25)
+    return [random_mixed_lp(rng) for _ in range(500)]
 
 
 def test_pivot_path_matches_full_tableau_update():
-    rng = np.random.default_rng(25)
-    lps = [random_mixed_lp(rng) for _ in range(500)]
+    lps = []
+    for c, A, b in mixed_draws():
+        if np.any(b < 0):
+            with pytest.raises(ValueError, match="the origin must be feasible"):
+                LinearProgram(c, A, b)
+        else:
+            lps.append(LinearProgram(c, A, b))
     # the dual-norm LPs of the ||P_N|| table: projected generator rows of
     # Example2Norm(4) as objectives over its generator set
     U = generators(Example2Norm(4))
@@ -304,55 +294,24 @@ def test_pivot_path_matches_full_tableau_update():
         got = _outcome(solve_lp, lp)
         assert got == _outcome(_full_update_simplex, lp)
         seen.add(got[0])
-    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen
+    assert seen == {OPTIMAL, UNBOUNDED}
 
 
-def test_big_m_phase_matches_highs():
-    # an independent solver on the same 500 LPs; the two unbounded LPs
-    # with a negative right-hand side that big-M still reads as infeasible
-    # (M too small for them) are left out by taking only HiGHS's optimal
-    # and infeasible verdicts
+def test_simplex_matches_highs():
+    # an independent solver on the 302 origin-feasible draws, with every
+    # HiGHS verdict kept: status 0 is optimal and 3 unbounded
     optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(25)
-    statuses = {0: OPTIMAL, 2: INFEASIBLE}
-    artificial = 0
-    for lp in [random_mixed_lp(rng) for _ in range(500)]:
-        ref = optimize.linprog(-lp.objective, A_ub=lp.lhs, b_ub=lp.rhs,
-                               bounds=(None, None), method="highs")
-        if ref.status not in statuses:
+    statuses = {0: OPTIMAL, 3: UNBOUNDED}
+    seen = []
+    for c, A, b in mixed_draws():
+        if np.any(b < 0):
             continue
+        lp = LinearProgram(c, A, b)
+        ref = optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(None, None),
+                               method="highs")
         result = solve_lp(lp)
-        assert result.status == statuses[ref.status]
+        assert result.status == statuses.get(ref.status)
         if result.status == OPTIMAL:
             assert abs(result.value + ref.fun) <= 1e-7
-        artificial += bool(np.any(lp.rhs < 0))
-    assert artificial == 181
-
-
-def test_big_m_phase_matches_vertex_enumeration():
-    # the LPs with a negative right-hand side, boxed into |x_i| <= 10 so the
-    # region is bounded: every vertex enumeration that finds a feasible
-    # vertex must match the simplex optimum, and every one that finds none
-    # must match an infeasible verdict
-    rng = np.random.default_rng(25)
-    seen = set()
-    for lp in [random_mixed_lp(rng) for _ in range(500)]:
-        n, m = lp.objective.size, lp.rhs.size
-        if not np.any(lp.rhs < 0) or m + 2 * n > 24:
-            continue
-        boxed = LinearProgram(
-            lp.objective,
-            np.vstack([lp.lhs, np.eye(n), -np.eye(n)]),
-            np.concatenate([lp.rhs, np.full(2 * n, 10.0)]),
-        )
-        result = solve_lp(boxed)
-        try:
-            value, _ = brute_force_vertices(boxed)
-        except LPError as exc:
-            assert str(exc) == "no feasible vertex found"
-            assert result.status == INFEASIBLE
-        else:
-            assert result.status == OPTIMAL
-            assert abs(result.value - value) <= 1e-9 * (1.0 + abs(value))
-        seen.add(result.status)
-    assert seen == {OPTIMAL, INFEASIBLE}
+        seen.append(result.status)
+    assert (seen.count(OPTIMAL), seen.count(UNBOUNDED)) == (237, 65)
