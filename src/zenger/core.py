@@ -64,6 +64,24 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_stack(x) -> np.ndarray:
+    """Coerce ``x`` to a 1-d vector or a 2-d stack of vectors, one per row,
+    rejecting ragged rows, other shapes and non-finite entries."""
+    try:
+        v = np.asarray(x, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(
+            f"not a vector or a stack of equal-length vectors: {exc}"
+        ) from exc
+    if v.ndim not in (1, 2):
+        raise DimensionMismatch(
+            f"expected a vector or a stack of vectors, got shape {v.shape}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    return v
+
+
 def validate_weights(alpha, weight_tol: float = 1e-10) -> np.ndarray:
     """Check that ``alpha`` is strictly positive and sums to one.
 

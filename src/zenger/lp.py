@@ -1,4 +1,4 @@
-"""Dictionary simplex with Bland's rule.
+"""Dictionary simplex with Bland's rule, for one objective or a stack.
 
 Problems are stated as: maximize <c, x> subject to A x <= b with x free.
 Free variables are split as x = u - v and slacks make rows equalities.  The
@@ -7,6 +7,22 @@ starts the simplex: no phase one, no presolve.  The tableau is kept in
 dictionary form (Chvatal, "Linear Programming", 1983, ch. 2-3): only the
 nonbasic columns and the rhs are stored.  Deterministic by construction,
 so repeated runs give bit-identical answers.
+
+The objective may be one vector c of shape (n,) or a stack of k objectives
+of shape (k, n) over the same A and b.  A stack pivots in lockstep, one
+dictionary per objective in a single array, each objective making its own
+entering and leaving choices with the arithmetic of a solve on its own, so
+every row of a stacked result has the bits a one-objective solve of that
+row gives.  Stacks run in chunks whose dictionaries hold at most
+``STACK_BYTES``.
+
+A single objective gives a float ``value`` and a ``point`` of shape (n,),
+or None when unbounded.  A stack gives ``value`` of shape (k,) and
+``point`` of shape (k, n); ``status`` is ``optimal`` only when every row
+is, otherwise ``unbounded``, and the unbounded rows hold ``inf`` values and
+NaN points.  When objectives of a stack fail, the others still finish and
+the error of the lowest-index failure is raised, the error a one-at-a-time
+loop over the rows would raise first.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZengerError, as_vector
+from .core import ZengerError, as_stack, as_vector
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -23,6 +39,7 @@ UNBOUNDED = "unbounded"
 PIVOT_EPS = 1e-12  # pivot magnitudes below this abort the run
 COST_EPS = 1e-9    # reduced costs within this of zero count as optimal
 ACTIVE_EPS = 1e-9  # an optimum may violate a row by this * (1 + |b_i|)
+STACK_BYTES = 1 << 19  # dictionary bytes of one chunk of a stacked solve
 
 
 class LPError(ZengerError):
@@ -39,20 +56,23 @@ class NumericalBreakdown(LPError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize <objective, x> subject to lhs @ x <= rhs, x free."""
+    """maximize <objective, x> subject to lhs @ x <= rhs, x free.
+
+    ``objective`` is one vector (n,) or a stack (k, n) of objectives."""
 
     objective: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        c = as_vector(self.objective)
+        c = as_stack(self.objective)
         b = as_vector(self.rhs)
         A = np.asarray(self.lhs, dtype=float)
-        if A.ndim != 2 or A.shape != (b.size, c.size):
+        n = c.shape[-1]
+        if A.ndim != 2 or A.shape != (b.size, n):
             raise ValueError(
                 f"constraint matrix shape {A.shape} does not match "
-                f"{b.size} rows and {c.size} variables"
+                f"{b.size} rows and {n} variables"
             )
         if not np.all(np.isfinite(A)):
             raise ValueError("constraint entries must be finite")
@@ -71,7 +91,7 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LPResult:
     status: str
-    value: float
+    value: float | np.ndarray
     point: np.ndarray | None
 
 
@@ -89,77 +109,162 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     Raises :class:`MaxPivotsExceeded` after ``default_pivot_cap(m, n)``
     pivots, or :class:`NumericalBreakdown` on a tiny pivot or on an optimum
     that violates a row by more than ACTIVE_EPS * (1 + |b_i|); unbounded
-    problems are reported through ``status``.
+    problems are reported through ``status``.  For a stack, the error is
+    that of the lowest-index objective that fails.
 
-    The dictionary ``D`` holds one column per nonbasic variable (labels in
-    ``nonbasic``) plus the rhs: m x (2n + 1) floats, and a pivot costs
-    O(m * n).
+    The dictionary holds one column per nonbasic variable plus the rhs:
+    about (2n + 2) x (m + 1) floats per objective, and a pivot costs
+    O(m * n) for each.
 
     The returned point is the optimal basic point the pivots reach; it is
     a vertex of the feasible region whenever the optimum is unique.
     """
-    c = np.asarray(lp.objective, dtype=float)
-    A = np.asarray(lp.lhs, dtype=float)
-    b = np.asarray(lp.rhs, dtype=float)
-    m, n = A.shape
-    cap = default_pivot_cap(m, n)
+    C = np.atleast_2d(lp.objective)
+    m, n = lp.lhs.shape
+    k = C.shape[0]
+    value = np.full(k, np.inf)
+    point = np.full((k, n), np.nan)
+    unbounded = np.zeros(k, dtype=bool)
+    chunk = max(1, STACK_BYTES // (8 * (2 * n + 2) * (m + 1)))
+    # numpy runs a ufunc call with broadcast operands that fit its buffer
+    # (8192 elements by default) through copies into that buffer, which
+    # makes the rank-one update of a pivot about three times slower; with a
+    # 16-element buffer the update runs on the arrays themselves
+    bufsize = np.setbufsize(16)
+    try:
+        for lo in range(0, k, chunk):
+            hi = min(k, lo + chunk)
+            failure = _pivot_stack(lp, C[lo:hi], value[lo:hi], point[lo:hi],
+                                   unbounded[lo:hi])
+            if failure is not None:
+                raise failure
+    finally:
+        np.setbufsize(bufsize)
 
-    D = np.zeros((m, 2 * n + 1))
-    D[:, :n] = A
-    D[:, n:2 * n] = -A
-    D[:, -1] = b
-    nonbasic = np.arange(2 * n)
-    basis = 2 * n + np.arange(m)
-
-    # z holds the reduced costs cost_B B^-1 N - cost_N and, last, the rhs
-    # term; optimal when every entry >= -COST_EPS.  Slacks cost nothing.
-    z = np.zeros(2 * n + 1)
-    z[:n] = -c
-    z[n:2 * n] = c
-
-    for _ in range(cap):
-        improving = np.nonzero(z[:-1] < -COST_EPS)[0]
-        if improving.size == 0:
-            break
-        p = int(improving[np.argmin(nonbasic[improving])])
-        col = D[:, p].copy()
-        eligible = np.nonzero(col > PIVOT_EPS)[0]
-        if eligible.size == 0:
-            if np.any(col > 0):
-                raise NumericalBreakdown(f"pivot column {nonbasic[p]} has "
-                                         f"only entries below {PIVOT_EPS}")
+    if lp.objective.ndim == 1:
+        if unbounded[0]:
             return LPResult(UNBOUNDED, float("inf"), None)
-        ratios = D[eligible, -1] / col[eligible]
-        best = np.min(ratios)
-        tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = int(tied[np.argmin(basis[tied])])
-        piv = col[r]
-        # slot p takes the leaving variable, whose column is e_r before the
-        # pivot; every entry then gets the update the full tableau would do
-        col[r] = 0.0
-        D[:, p] = 0.0
-        D[r, p] = 1.0
-        D[r] /= piv
-        D -= np.outer(col, D[r])
-        z_p = z[p]
-        z[p] = 0.0
-        z -= z_p * D[r]
-        basis[r], nonbasic[p] = nonbasic[p], basis[r]
-    else:
-        raise MaxPivotsExceeded(f"no optimum within {cap} pivots")
+        return LPResult(OPTIMAL, float(value[0]), point[0])
+    return LPResult(UNBOUNDED if unbounded.any() else OPTIMAL, value, point)
 
-    x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] += D[i, -1]
-        elif j < 2 * n:
-            x[j - n] -= D[i, -1]
+
+def _pivot_stack(lp, C, value, point, unbounded) -> LPError | None:
+    """Pivot the objectives ``C`` over the constraints of ``lp`` in lockstep.
+
+    Fills the rows of ``value``, ``point`` and ``unbounded``, and returns
+    the error of the lowest-index objective that failed, or None.  Slot j
+    of the stack holds objective ``slot[j]``; the first ``live`` slots are
+    still pivoting, and a finished slot is refilled with the last live one,
+    so the live objectives are always a leading view of the arrays.
+
+    Each objective's dictionary is stored transposed, so a column is
+    contiguous: entry 0 is a zero column, entries 1..2n hold the nonbasic
+    columns (labels in ``nonbasic``) and the last entry the rhs.  Each
+    column carries the m constraint rows and, last, its reduced cost, so
+    one rank-one update pivots the constraints and the costs.  A zero may
+    come out with the other sign than in a full-tableau pivot; no choice
+    and no returned bit depends on the sign of a zero.
+    """
+    A, b = lp.lhs, lp.rhs
+    k, n = C.shape
+    m = b.size
+    cap = default_pivot_cap(m, n)
+    nolabel = 2 * n + m  # above every label
+
+    D = np.zeros((k, 2 * n + 2, m + 1))
+    D[:, 1:n + 1, :m] = A.T
+    D[:, n + 1:-1, :m] = -A.T
+    D[:, -1, :m] = b
+    # the costs hold cost_B B^-1 N - cost_N and, last, the rhs term; optimal
+    # when every entry >= -COST_EPS.  Slacks cost nothing, and the zero
+    # column never improves: when nothing else does, it enters, finds no
+    # eligible row and ends the objective's pivots.
+    D[:, 1:n + 1, m] = -C
+    D[:, n + 1:-1, m] = C
+    update = np.empty_like(D)
+    nonbasic = np.empty((k, 2 * n + 1), dtype=int)
+    nonbasic[:] = np.arange(-1, 2 * n)
+    basis = np.empty((k, m), dtype=int)
+    basis[:] = np.arange(2 * n, nolabel)
+    slot = list(range(k))
+    scale = 1.0 + np.abs(b)
+    errors: list[LPError | None] = [None] * k
+    live = k
+    pivots = 0
+
+    while live:
+        Dl, N, B = D[:live], nonbasic[:live], basis[:live]
+        at = np.arange(live)
+        while True:
+            if pivots == cap:
+                for j in range(live):
+                    errors[slot[j]] = MaxPivotsExceeded(
+                        f"no optimum within {cap} pivots")
+                live = 0
+                break
+            p = np.where(Dl[:, :-1, m] < -COST_EPS, N, nolabel).argmin(axis=1)
+            col = Dl[at, p]
+            eligible = col[:, :m] > PIVOT_EPS
+            has_row = eligible.any(axis=1)
+            if not has_row.all():
+                # finish in descending slot order, so the last live slot
+                # that refills a finished one is itself still live
+                for j in np.flatnonzero(~has_row)[::-1].tolist():
+                    i = slot[j]
+                    if p[j] == 0:
+                        try:
+                            value[i], point[i] = _optimum(
+                                lp, C[i], D[j, -1, :m], basis[j], scale)
+                        except NumericalBreakdown as exc:
+                            errors[i] = exc
+                    elif np.any(col[j, :m] > 0):
+                        errors[i] = NumericalBreakdown(
+                            f"pivot column {nonbasic[j, p[j]]} has only "
+                            f"entries below {PIVOT_EPS}")
+                    else:
+                        unbounded[i] = True
+                    live -= 1
+                    if j < live:
+                        for arr in (D, nonbasic, basis, slot):
+                            arr[j] = arr[live]
+                break
+            # rows that are not eligible get NaN ratios: fmin skips them and
+            # they tie with nothing
+            ratios = Dl[:, -1, :m] / np.where(eligible, col[:, :m], np.nan)
+            best = np.fmin.reduce(ratios, axis=1)
+            tied = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
+            r = np.where(tied, B, nolabel).argmin(axis=1)
+            piv = col[at, r]
+            # column p takes the leaving variable, whose column is e_r
+            # before the pivot; every entry then gets the update the full
+            # tableau would do
+            col[at, r] = 0.0
+            Dl[at, p] = 0.0
+            Dl[at, p, r] = 1.0
+            row = Dl[at, :, r] / piv[:, None]
+            Dl[at, :, r] = row
+            np.multiply(row[:, :, None], col[:, None, :], out=update[:live])
+            Dl -= update[:live]
+            leaving = B[at, r]
+            B[at, r] = N[at, p]
+            N[at, p] = leaving
+            pivots += 1
+
+    return next((e for e in errors if e is not None), None)
+
+
+def _optimum(lp, c, rhs, basis, scale) -> tuple[float, np.ndarray]:
+    """Value and point of an optimal dictionary, after the row check."""
+    n = c.size
+    # x = u - v, summed from 0.0 as a loop over the basic rows would, so a
+    # -0.0 in the rhs comes out as 0.0
+    basic = np.zeros(2 * n + rhs.size)
+    basic[basis] = rhs
+    x = (basic[:n] + 0.0) - basic[n:2 * n]
 
     value = float(c @ x)
-    slack = b - A @ x
-    scale = 1.0 + np.abs(b)
+    slack = lp.rhs - lp.lhs @ x
     worst = -float(np.min(slack / scale, initial=0.0))
     if worst > ACTIVE_EPS:
         raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
-    return LPResult(OPTIMAL, value, x)
-
+    return value, x

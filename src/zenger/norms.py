@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatch, TailVector, ZengerError, as_vector
+from .core import DimensionMismatch, TailVector, ZengerError, as_stack, as_vector
 from . import lp as _lp
 
 GENERATOR_LIMIT = 2 * 10 ** 6  # entries (rows x dimension) of the expansion
@@ -129,7 +129,7 @@ NormSpec = SupNorm | CompositeNorm | Example2Norm | Example1TailNorm
 
 
 class DualEval(NamedTuple):
-    value: float
+    value: float | np.ndarray
     achiever: np.ndarray
 
 
@@ -253,12 +253,19 @@ def dual_norm_lmo(spec: NormSpec, g, *, gens: np.ndarray | None = None) -> DualE
     Solved as the LP over the generator constraints <u_i, x> <= 1.  The
     maximizer is the simplex's optimal basic point: a vertex of the ball
     when the maximizer is unique, otherwise some point of the optimal face.
-    Passing the precomputed ``generators(spec)`` skips re-expansion on
-    repeated calls.
+    ``g`` is one functional (n,), giving a float value and an (n,)
+    achiever, or a stack (k, n), giving values (k,) and achievers (k, n)
+    from one stacked LP.  Passing the precomputed ``generators(spec)``
+    skips re-expansion on repeated calls.
     """
-    v = _check_dense(spec, g)
+    n = norm_dimension(spec)
+    if n is None:
+        raise NotPolyhedral(f"{type(spec).__name__} has no generator description")
+    G = as_stack(g)
+    if G.shape[-1] != n:
+        raise DimensionMismatch(f"vector has length {G.shape[-1]}, norm expects {n}")
     U = generators(spec) if gens is None else gens
-    program = _lp.LinearProgram(v, U, np.ones(U.shape[0]))
+    program = _lp.LinearProgram(G, U, np.ones(U.shape[0]))
     try:
         result = _lp.solve_lp(program)
     except _lp.LPError as exc:
@@ -276,7 +283,9 @@ def projection_norm(spec: NormSpec, N: int) -> float:
     functionals that P_N moves need an LP: a fixed one, P_N u = u, has dual
     norm at most 1, since <u, x> <= norm(x) <= 1 on the ball, and ||P_N|| is
     at least 1, since P_N e_1 = e_1.  So the maximum starts at 1, and for
-    N >= dimension (P_N = I) it is exactly 1 with no LP solved.
+    N >= dimension (P_N = I) it is exactly 1 with no LP solved.  The moved
+    functionals go to :func:`dual_norm_lmo` as one stack, one stacked LP
+    over the shared ball.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -284,10 +293,9 @@ def projection_norm(spec: NormSpec, N: int) -> float:
     V = gens[np.any(gens[:, N:] != 0.0, axis=1)]
     V[:, N:] = 0.0
     V = _canonical_rows(V)
-    best = 1.0
-    for row in V:
-        best = max(best, dual_norm_lmo(spec, row, gens=gens).value)
-    return best
+    if V.shape[0] == 0:
+        return 1.0
+    return max(1.0, float(np.max(dual_norm_lmo(spec, V, gens=gens).value)))
 
 
 def _canonical_rows(V: np.ndarray) -> np.ndarray:
@@ -308,12 +316,10 @@ def equivalence_constants(spec: NormSpec) -> EquivalenceConstants:
 
     Upper: the norm of a sign vector matching u_i is ||u_i||_1, so the max
     over functionals is attained.  Lower: the largest coordinate functional
-    on the unit ball is max_k dual_norm(e_k).
+    on the unit ball is max_k dual_norm(e_k), one stacked LP over the n
+    coordinate functionals.
     """
     U = generators(spec)
     upper = float(np.max(np.sum(np.abs(U), axis=1)))
-    n = U.shape[1]
-    worst = 0.0
-    for k in range(n):
-        worst = max(worst, dual_norm_lmo(spec, _unit(n, k), gens=U).value)
+    worst = float(np.max(dual_norm_lmo(spec, np.eye(U.shape[1]), gens=U).value))
     return EquivalenceConstants(c_lower=1.0 / worst, C_upper=upper)

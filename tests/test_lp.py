@@ -8,16 +8,19 @@ from zenger import (
     OPTIMAL,
     UNBOUNDED,
     CompositeNorm,
+    DimensionMismatch,
     Example2Norm,
     LinearProgram,
     LPError,
     LPResult,
     MaxPivotsExceeded,
     NumericalBreakdown,
+    example2_family,
     generators,
     solve_lp,
 )
-from zenger.lp import COST_EPS, PIVOT_EPS, default_pivot_cap
+from zenger.lp import COST_EPS, PIVOT_EPS, STACK_BYTES, default_pivot_cap
+from zenger.norms import _canonical_rows
 
 from oracle import TooLarge, brute_force_vertices
 
@@ -151,6 +154,16 @@ def test_program_validation():
         LinearProgram(np.ones(2), np.ones((3, 3)), np.ones(3))
     with pytest.raises(ValueError):
         LinearProgram(np.ones(1), np.array([[np.inf]]), np.ones(1))
+    # a stack of objectives must have one column per variable, equal rows
+    # and finite entries
+    with pytest.raises(ValueError, match="does not match"):
+        LinearProgram(np.ones((2, 3)), np.ones((3, 2)), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        LinearProgram([[1.0, 2.0], [3.0]], np.ones((3, 2)), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(np.ones((2, 2, 2)), np.ones((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram([[1.0, np.nan]], np.ones((3, 2)), np.ones(3))
 
 
 def test_memory_scales_with_the_nonbasic_columns():
@@ -315,3 +328,95 @@ def test_simplex_matches_highs():
             assert abs(result.value + ref.fun) <= 1e-7
         seen.append(result.status)
     assert (seen.count(OPTIMAL), seen.count(UNBOUNDED)) == (237, 65)
+
+
+def _stack_outcomes(stack, lhs, rhs):
+    # one solve of the whole stack, as per-row outcomes, or the error it
+    # raised
+    try:
+        result = solve_lp(LinearProgram(stack, lhs, rhs))
+    except LPError as exc:
+        return type(exc), str(exc)
+    assert result.value.shape == (len(stack),)
+    assert result.point.shape == (len(stack), lhs.shape[1])
+    rows = []
+    for value, point in zip(result.value, result.point):
+        if value == np.inf:
+            assert np.all(np.isnan(point))
+            rows.append((UNBOUNDED, None, None))
+        else:
+            rows.append((OPTIMAL, value.tobytes(), point.tobytes()))
+    expected = OPTIMAL if all(r[0] == OPTIMAL for r in rows) else UNBOUNDED
+    assert result.status == expected
+    return rows
+
+
+def _loop_outcomes(stack, lhs, rhs):
+    # the same objectives solved one at a time; the first error ends it
+    rows = []
+    for c in stack:
+        got = _outcome(solve_lp, LinearProgram(c, lhs, rhs))
+        if got[0] not in (OPTIMAL, UNBOUNDED):
+            return got
+        rows.append(got if got[0] == OPTIMAL else (UNBOUNDED, None, None))
+    return rows
+
+
+def test_stacked_solve_matches_one_at_a_time():
+    # every origin-feasible draw's constraints carry a stack of its own
+    # objective, the objectives of other draws of the same dimension and
+    # unit objectives of both signs, so stacks mix optimal and unbounded rows
+    draws = [d for d in mixed_draws() if np.all(d[2] >= 0)]
+    rng = np.random.default_rng(26)
+    mixed = 0
+    for c, A, b in draws:
+        n = c.size
+        others = [d[0] for d in draws if d[0].size == n]
+        picks = rng.choice(len(others), size=min(6, len(others)), replace=False)
+        stack = np.array([c] + [others[i] for i in picks]
+                         + list(np.eye(n)) + list(-np.eye(n)))
+        got = _stack_outcomes(stack, A, b)
+        assert got == _loop_outcomes(stack, A, b)
+        mixed += {r[0] for r in got} == {OPTIMAL, UNBOUNDED}
+    assert (mixed, len(draws)) == (48, 302)
+
+
+def test_stacked_solve_raises_the_lowest_index_failure(monkeypatch):
+    # with the cap at 2 pivots, objectives that need more fail with
+    # MaxPivotsExceeded; wherever the failing rows sit in the stack, the
+    # error is the one the first failing row raises alone, and a stack
+    # whose rows all finish within the cap is solved
+    lhs = np.vstack([np.eye(3), -np.eye(3)])
+    rhs = np.ones(6)
+    easy = [np.array([1.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0])]
+    hard = np.array([1.0, 1.0, 1.0])
+    monkeypatch.setattr(zenger.lp, "default_pivot_cap", lambda m, n: 2)
+    for stack in ([easy[0], hard, easy[1]], [hard, easy[0]], [easy[1], hard]):
+        got = _stack_outcomes(np.array(stack), lhs, rhs)
+        assert got == _loop_outcomes(np.array(stack), lhs, rhs)
+        assert got == (MaxPivotsExceeded, "no optimum within 2 pivots")
+    assert all(r[0] == OPTIMAL for r in _stack_outcomes(np.array(easy), lhs, rhs))
+
+
+def test_memory_of_a_stack_is_capped_by_its_chunks():
+    # the 27 moved functionals of ||P_9|| on example2_family(9): 380 rows,
+    # and dictionaries of 67 KB each, 1.8 MB together, solved in chunks of
+    # at most STACK_BYTES with the bits of 27 separate solves
+    U = generators(example2_family(9))
+    V = U[U[:, -1] != 0.0].copy()
+    V[:, -1] = 0.0
+    V = _canonical_rows(V)
+    assert U.shape[0] == 380 and V.shape[0] == 27
+    lp = LinearProgram(V, U, np.ones(U.shape[0]))
+    tracemalloc.start()
+    try:
+        result = solve_lp(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == OPTIMAL
+    assert peak <= STACK_BYTES + 2e6
+    for g, value, point in zip(V, result.value, result.point):
+        alone = solve_lp(LinearProgram(g, U, np.ones(U.shape[0])))
+        assert (value.tobytes(), point.tobytes()) == (
+            np.float64(alone.value).tobytes(), alone.point.tobytes())

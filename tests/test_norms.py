@@ -10,6 +10,7 @@ from zenger import (
     Example2Norm,
     GeneratorBlowup,
     LPFailure,
+    NotPolyhedral,
     RankDeficientNorm,
     SupNorm,
     TailVector,
@@ -201,6 +202,33 @@ def test_dual_norm_refuses_an_infeasible_optimum():
         dual_norm_lmo(Example2Norm(25), g)
 
 
+def test_a_stack_raises_the_error_of_its_first_failing_row():
+    # the same objective at index 2 of a stack: the rows before it solve,
+    # and the stack raises what a loop over the rows would raise first
+    rng = np.random.default_rng(25)
+    g = rng.normal(size=25)
+    G = np.vstack([np.eye(25)[:2], g, -g, np.ones(25)])
+    with pytest.raises(LPFailure, match=r"violates a row by 5\.767e\+07"):
+        dual_norm_lmo(Example2Norm(25), G)
+    value, achiever = dual_norm_lmo(Example2Norm(25), G[:2])
+    assert value.shape == (2,) and achiever.shape == (2, 25)
+
+
+def test_dual_norm_rejects_bad_functionals():
+    with pytest.raises(NotPolyhedral):
+        dual_norm_lmo(Example1TailNorm(), np.ones(3))
+    with pytest.raises(NotPolyhedral):
+        dual_norm_lmo(Example1TailNorm(), np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        dual_norm_lmo(SupNorm(2), [[1.0, 2.0], [3.0]])
+    with pytest.raises(DimensionMismatch, match="norm expects 2"):
+        dual_norm_lmo(SupNorm(2), np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        dual_norm_lmo(SupNorm(2), np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        dual_norm_lmo(SupNorm(2), [[1.0, 2.0], [np.inf, 0.0]])
+
+
 def test_dual_norm_zero_gradient():
     value, _ = dual_norm_lmo(SupNorm(2), np.zeros(2))
     assert value == 0.0
@@ -298,15 +326,15 @@ def test_projection_norm_solves_only_moved_rows(monkeypatch):
     calls = []
     real_lmo = zenger.norms.dual_norm_lmo
 
-    def counting_lmo(*args, **kwargs):
-        calls.append(None)
-        return real_lmo(*args, **kwargs)
+    def counting_lmo(spec, g, **kwargs):
+        calls.append(np.shape(g))
+        return real_lmo(spec, g, **kwargs)
 
     monkeypatch.setattr(zenger.norms, "dual_norm_lmo", counting_lmo)
     # 3N rows of Example2Norm(N + 1) have a nonzero last entry, against
-    # 2N(N + 1) canonical projected rows in all
+    # 2N(N + 1) canonical projected rows in all; they go to one stacked call
     assert projection_norm(example2_family(9), 9) == 1.0 + 2.0 ** -9
-    assert len(calls) == 27
+    assert calls == [(27, 10)]
 
     # P_N = I from N = dimension on: exactly 1, and no LP at all
     calls.clear()
@@ -337,6 +365,18 @@ def test_equivalence_constants():
     ec = equivalence_constants(Example2Norm(8))
     assert ec.c_lower == pytest.approx(1.0, abs=1e-9)
     assert ec.C_upper <= 3.0
+
+
+def test_equivalence_constants_match_the_coordinate_loop():
+    # the lower constant from one stacked LP has the bits of n single LPs
+    specs = [SupNorm(5), CompositeNorm(((2.0, np.eye(3)),)), Example2Norm(8)]
+    for spec in specs:
+        U = generators(spec)
+        n = U.shape[1]
+        worst = 0.0
+        for k in range(n):
+            worst = max(worst, dual_norm_lmo(spec, np.eye(n)[k], gens=U).value)
+        assert equivalence_constants(spec).c_lower == 1.0 / worst
 
 
 def test_sandwich_on_random_vectors():
