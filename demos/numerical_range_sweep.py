@@ -24,14 +24,14 @@ print("nilpotent shift: h(theta) =", np.round(curve.values, 12))
 A = np.array([[1.0 + 1.0j, 0.8, -0.3],
               [0.0, -0.5, 1.1j],
               [0.0, 0.0, 0.25 - 0.75j]])
-check = spectrum_hull_check(A, grid_size=256)
+check = spectrum_hull_check(A, support_curve(A, 256))
 print("triangular A: hull of spectrum inside range =", check.ok)
 print("worst margin over 256 angles =", check.worst_margin)
 
 # for a normal (here diagonal) matrix the range IS the hull, so the worst
 # margin collapses to zero: some eigenvalue touches every support line
 D = np.diag([2.0, -1.0 + 0.5j, 0.3j])
-tight = spectrum_hull_check(D, grid_size=256)
+tight = spectrum_hull_check(D, support_curve(D, 256))
 print("normal D: worst margin =", tight.worst_margin)
 
 # a Hermitian matrix: its range is the segment between its extreme eigenvalues

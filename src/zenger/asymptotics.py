@@ -67,16 +67,14 @@ def geometric_rule(ratio: float) -> Callable[[int], float]:
     return alpha
 
 
-def geometric_alpha(ratio: float, n: int, renormalize: bool = True) -> np.ndarray:
-    """First n geometric weights; renormalized so the truncation sums to 1,
-    or raw (summing to 1 - ratio^n) when renormalize is off."""
+def geometric_alpha(ratio: float, n: int) -> np.ndarray:
+    """First n geometric weights, renormalized so the truncation sums to 1
+    (the raw truncation sums to 1 - ratio^n)."""
     if n < 1:
         raise ValueError("n must be positive")
     rule = geometric_rule(ratio)
     raw = np.array([rule(k) for k in range(1, n + 1)])
-    if renormalize:
-        return raw / raw.sum()
-    return raw
+    return raw / raw.sum()
 
 
 def pn_table(spec_family: Callable[[int], NormSpec], n_range: Iterable[int]) -> PnTable:

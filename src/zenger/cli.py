@@ -1,11 +1,11 @@
 """Command line interface: solve, asymptotics, numrange.
 
 Problem files are JSON with top-level keys "norm", "alpha", and optional
-"tolerances", "max_iterations", "candidate_w" (the latter only for the tail
-norm).  Reports carry a machine-readable CSV section (17 significant digits,
-LF line endings) followed by a human section that states the result in
-market terms: the bundle w, the supporting prices phi, and the value of the
-bundle at those prices.
+"tolerances" and "candidate_w" (the latter only for the tail norm).  Reports
+carry a machine-readable CSV section (17 significant digits, LF line
+endings) followed by a human section that states the result in market
+terms: the bundle w, the supporting prices phi, and the value of the bundle
+at those prices.
 
 Exit codes: 0 pass, 1 certificate or containment failure, 2 parse or
 validation error, 3 non-convergence (including LP breakdowns and refuter
@@ -43,7 +43,12 @@ from .norms import (
     SupNorm,
     norm_dimension,
 )
-from .numrange import NotTriangular, spectrum_hull_check, support_curve
+from .numrange import (
+    DEFAULT_GRID,
+    NotTriangular,
+    spectrum_hull_check,
+    support_curve,
+)
 from .solver import NonConvergence, ZengerProblem, certify, solve_zenger
 
 EXIT_OK = 0
@@ -53,7 +58,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_GENERATOR_BLOWUP = 4
 EXIT_MATRIX_SHAPE = 5
 
-_TOP_KEYS = {"norm", "alpha", "tolerances", "max_iterations", "candidate_w"}
+_TOP_KEYS = {"norm", "alpha", "tolerances", "candidate_w"}
 _NORM_KEYS = {"type", "dimension", "blocks"}
 _TOL_KEYS = {"weight", "gap", "certificate"}
 _NORM_TYPES = ("sup", "composite", "example1_tail", "example2")
@@ -100,7 +105,6 @@ class ParsedProblem:
     alpha_list: np.ndarray | None
     alpha_ratio: float | None
     tolerances: Tolerances
-    max_iterations: int
     candidate_w: TailVector | None
 
 
@@ -221,13 +225,6 @@ def _load_problem(path: str) -> ParsedProblem:
     if "alpha" in doc:
         alpha_list, alpha_ratio = _parse_alpha(doc["alpha"])
     tolerances = _parse_tolerances(doc.get("tolerances"))
-    max_iterations = doc.get("max_iterations", 5000)
-    if (
-        isinstance(max_iterations, bool)
-        or not isinstance(max_iterations, int)
-        or max_iterations < 1
-    ):
-        raise ParseError('"max_iterations" must be a positive integer')
     candidate_w = None
     if "candidate_w" in doc:
         if not isinstance(spec, Example1TailNorm):
@@ -238,7 +235,6 @@ def _load_problem(path: str) -> ParsedProblem:
         alpha_list=alpha_list,
         alpha_ratio=alpha_ratio,
         tolerances=tolerances,
-        max_iterations=max_iterations,
         candidate_w=candidate_w,
     )
 
@@ -272,24 +268,14 @@ def cmd_solve(args) -> int:
     if parsed.alpha_list is not None:
         alpha = parsed.alpha_list
     else:
-        alpha = geometric_alpha(
-            parsed.alpha_ratio, n, renormalize=not args.no_renormalize
-        )
+        alpha = geometric_alpha(parsed.alpha_ratio, n)
     tolerances = parsed.tolerances
     if args.tol is not None:
         tol = _number(args.tol, "--tol")
         if tol <= 0.0:
             raise ParseError("--tol must be positive")
         tolerances = replace(tolerances, certificate=tol)
-    max_iterations = (
-        args.max_iter if args.max_iter is not None else parsed.max_iterations
-    )
-    problem = ZengerProblem(
-        spec=spec,
-        alpha=alpha,
-        tol=tolerances,
-        max_iterations=max_iterations,
-    )
+    problem = ZengerProblem(spec=spec, alpha=alpha, tol=tolerances)
     pair = solve_zenger(problem)
     cert = certify(pair, problem)
     verdict = "PASS" if cert.ok else "FAIL"
@@ -426,7 +412,7 @@ def cmd_numrange(args) -> int:
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")
     curve = support_curve(A, args.grid)
-    check = spectrum_hull_check(A, args.grid, curve=curve)
+    check = spectrum_hull_check(A, curve)
     csv_lines = ["theta,h"]
     for theta, h in zip(curve.thetas, curve.values):
         csv_lines.append(f"{_fmt(theta)},{_fmt(h)}")
@@ -452,11 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem", help="JSON problem file")
     solve.add_argument("--tol", type=float, default=None,
                        help="certificate tolerance (default 1e-6)")
-    solve.add_argument("--max-iter", type=int, default=None,
-                       help="iteration budget override")
     solve.add_argument("--csv-out", default=None, help="write the CSV section here")
-    solve.add_argument("--no-renormalize", action="store_true",
-                       help="reject geometric alpha whose truncation misses sum 1")
 
     asym = sub.add_parser("asymptotics", help="projection norm tables and checks")
     asym.add_argument("problem", help="JSON problem file")
@@ -465,7 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     numr = sub.add_parser("numrange", help="numerical range support sweep")
     numr.add_argument("matrix", help="matrix file: dimension line, then rows")
-    numr.add_argument("--grid", type=int, default=256, help="angle count")
+    numr.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                      help="angle count")
     numr.add_argument("--csv-out", default=None, help="write the curve CSV here")
     return parser
 

@@ -105,7 +105,8 @@ def validate_weights(alpha, weight_tol: float = 1e-10) -> np.ndarray:
 class TailVector:
     """A real sequence with finitely many free entries and a constant tail.
 
-    ``head`` holds the leading entries; every entry past it equals ``tail``.
+    ``head`` holds the leading entries (a scalar or a 1-d sequence); every
+    entry past it equals ``tail``.
     The representation makes sup and limsup exact arithmetic.
     """
 
@@ -113,7 +114,9 @@ class TailVector:
     tail: float
 
     def __post_init__(self):
-        h = np.array(self.head, dtype=float, ndmin=1).reshape(-1)
+        h = np.array(self.head, dtype=float, ndmin=1)
+        if h.ndim > 1:
+            raise DimensionMismatch(f"head must be 1-d, got shape {h.shape}")
         if not np.all(np.isfinite(h)) or not np.isfinite(self.tail):
             raise ValueError("TailVector entries must be finite")
         h.setflags(write=False)
@@ -146,9 +149,6 @@ class TailVector:
         m = min(n, self.head.size)
         out[:m] = self.head[:m]
         return out
-
-    def scale(self, factor: float) -> "TailVector":
-        return TailVector(self.head * factor, self.tail * factor)
 
 
 def project_PN(x, N: int):

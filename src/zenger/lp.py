@@ -80,7 +80,8 @@ class LinearProgram:
             i = int(np.argmax(b < 0))
             raise ValueError(f"rhs[{i}] = {float(b[i])} is negative: "
                              "the origin must be feasible")
-        A = A.copy()
+        # copies, so freezing them leaves the caller's arrays writeable
+        c, A, b = c.copy(), A.copy(), b.copy()
         for arr in (c, A, b):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", c)

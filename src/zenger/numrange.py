@@ -39,8 +39,8 @@ class SupportCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        thetas = np.array(self.thetas, dtype=float)
+        values = np.array(self.values, dtype=float)
         if thetas.shape != values.shape or thetas.ndim != 1:
             raise ValueError("thetas and values must be matching 1-d arrays")
         thetas.setflags(write=False)
@@ -126,27 +126,21 @@ def support_curve(A, grid_size: int = DEFAULT_GRID) -> SupportCurve:
     return SupportCurve(thetas=thetas, values=values)
 
 
-def spectrum_hull_check(
-    A,
-    grid_size: int = DEFAULT_GRID,
-    curve: SupportCurve | None = None,
-) -> HullCheck:
+def spectrum_hull_check(A, curve: SupportCurve) -> HullCheck:
     """Verify the convex hull of the diagonal spectrum sits in the range.
 
-    For every eigenvalue lambda on the diagonal and every grid angle theta,
-    checks Re(exp(-i theta) lambda) <= h(theta) up to 1e-8 times
-    max(1, max |A_ij|), since the rounding in h grows with the entries;
-    worst_margin is the smallest slack encountered (zero when an eigenvalue
-    touches the boundary, as for normal matrices).
+    ``curve`` is A's support curve, as ``support_curve(A, grid_size)``
+    returns it; its angles are the grid.  For every eigenvalue lambda on
+    the diagonal and every grid angle theta, checks Re(exp(-i theta)
+    lambda) <= h(theta) up to 1e-8 times max(1, max |A_ij|), since the
+    rounding in h grows with the entries; worst_margin is the smallest
+    slack encountered (zero when an eigenvalue touches the boundary, as for
+    normal matrices).
     """
     A = as_complex_matrix(A)
     lower = A[np.tril_indices_from(A, k=-1)]
     if lower.size and np.any(lower != 0.0):
         raise NotTriangular("spectrum input must be upper triangular")
-    if curve is None:
-        curve = support_curve(A, grid_size)
-    elif curve.thetas.size != grid_size:
-        raise ValueError("supplied curve does not match grid_size")
     eigs = np.diagonal(A)
     rotated = np.real(np.exp(-1j * curve.thetas)[:, None] * eigs[None, :])
     margins = curve.values[:, None] - rotated

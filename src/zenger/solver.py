@@ -65,6 +65,8 @@ from .norms import (
     norm_dimension,
 )
 
+NEWTON_BUDGET = 5000  # Newton steps one barrier solve may take
+
 
 class NonConvergence(ZengerError):
     """The barrier solve ended with the multiplier gap still too large."""
@@ -78,15 +80,14 @@ class NonConvergence(ZengerError):
 class ZengerProblem:
     """A weight vector alpha and a polyhedral norm whose unit ball to search.
 
-    ``max_iterations`` caps the Newton steps of the barrier solve."""
+    ``alpha`` is kept as a read-only copy of the validated weights."""
 
     spec: NormSpec
     alpha: np.ndarray
     tol: Tolerances = Tolerances()
-    max_iterations: int = 5000
 
     def __post_init__(self):
-        a = validate_weights(self.alpha, self.tol.weight)
+        a = validate_weights(self.alpha, self.tol.weight).copy()
         n = norm_dimension(self.spec)
         if n is None:
             raise NotPolyhedral("solving requires a finite-dimensional ball")
@@ -94,21 +95,19 @@ class ZengerProblem:
             raise DimensionMismatch(
                 f"{a.size} weights against a dimension-{n} norm"
             )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
 
 @dataclass(frozen=True)
 class ZengerPair:
-    """Solution record: bundle w on the unit sphere, prices phi = alpha / w,
-    the gap (the multiplier bound on dual_norm(phi), minus 1), the objective
-    value, and the number of Newton steps taken."""
+    """Solution record: bundle w on the unit sphere, prices phi = alpha / w
+    for the problem's alpha, the gap (the multiplier bound on
+    dual_norm(phi), minus 1), the objective value, and the number of Newton
+    steps taken (at most ``NEWTON_BUDGET``)."""
 
     w: np.ndarray
     phi: np.ndarray
-    alpha: np.ndarray
     gap: float
     objective: float
     iterations: int
@@ -137,7 +136,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     Parameters
     ----------
     problem : ZengerProblem
-        Norm spec, weights, tolerances, and the Newton step budget.
+        Norm spec, weights and tolerances.
 
     Returns
     -------
@@ -172,8 +171,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     t0 = np.array([np.max(np.abs(blk.matrix @ x0)) for blk in blocks])
     t0 += 0.25 / (J * coefs)
 
-    x, y, steps = _barrier_refine(G, h, alpha, np.concatenate([x0, t0]),
-                                  problem.max_iterations)
+    x, y, steps = _barrier_refine(G, h, alpha, np.concatenate([x0, t0]))
 
     rho = eval_norm(spec, x)
     w = x / rho
@@ -193,14 +191,13 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     return ZengerPair(
         w=w,
         phi=phi,
-        alpha=alpha,
         gap=gap,
         objective=log_utility(alpha, w),
         iterations=steps,
     )
 
 
-def _barrier_refine(G, h, alpha, v, budget):
+def _barrier_refine(G, h, alpha, v):
     """Primal-dual log-barrier solve of max F(x) subject to G v <= h.
 
     v = (x, t) must start strictly inside with x > 0, and the iterates
@@ -221,9 +218,10 @@ def _barrier_refine(G, h, alpha, v, budget):
     would push the tight slacks under the rounding noise of recomputing
     h - G v, which is why it stops there.
 
-    Takes at most ``budget`` Newton steps.  Returns (x, y, steps): the last
-    strictly feasible x, its multiplier estimates y (one per row of G) and
-    the number of Newton steps.  A numerical failure ends the solve early;
+    Takes at most ``NEWTON_BUDGET`` Newton steps; the fixed schedule needs
+    tens of them, so the cap only ends a solve that has stalled.  Returns
+    (x, y, steps): the last strictly feasible x, its multiplier estimates y
+    (one per row of G) and the number of Newton steps.  A numerical failure ends the solve early;
     the caller's gap then shows how far it got.
     """
     mu = 1e-2
@@ -234,7 +232,7 @@ def _barrier_refine(G, h, alpha, v, budget):
     s = h - G @ v
     y = mu / s
     steps = 0
-    while steps < budget:
+    while steps < NEWTON_BUDGET:
         x = v[:n]
         grad = -(G.T @ (mu / s))
         grad[:n] += alpha / x

@@ -111,5 +111,5 @@ def brute_force_zenger(problem) -> ZengerPair:
     w = d / eval_norm(spec, d)
     phi = alpha / w
     gap = dual_norm_lmo(spec, phi).value - 1.0
-    return ZengerPair(w=w, phi=phi, alpha=alpha, gap=gap,
+    return ZengerPair(w=w, phi=phi, gap=gap,
                       objective=log_utility(alpha, w), iterations=0)

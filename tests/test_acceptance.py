@@ -197,13 +197,13 @@ def test_criterion_8_spectrum_inside_numerical_range():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         A = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        check = spectrum_hull_check(A, grid_size=256)
+        check = spectrum_hull_check(A, support_curve(A, 256))
         assert check.ok
         assert check.worst_margin >= -1e-8
     for _ in range(10):
         n = int(rng.integers(2, 7))
         A = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
-        check = spectrum_hull_check(A, grid_size=256)
+        check = spectrum_hull_check(A, support_curve(A, 256))
         assert check.ok
         assert abs(check.worst_margin) <= 1e-8
     assert time.perf_counter() - start < 30.0

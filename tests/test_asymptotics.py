@@ -45,8 +45,9 @@ def test_geometric_alpha_renormalization():
     assert np.max(np.abs(a - np.array([16.0, 4.0, 1.0]) / 21.0)) <= 1e-16
     assert a.sum() == 1.0
 
-    raw = geometric_alpha(0.25, 3, renormalize=False)
-    assert raw.sum() == 63.0 / 64.0
+    # geometric weights are always renormalized
+    with pytest.raises(TypeError):
+        geometric_alpha(0.25, 3, renormalize=False)
 
     with pytest.raises(ValueError):
         geometric_alpha(0.25, 0)

@@ -93,13 +93,15 @@ def test_solve_cascade_geometric_rule(tmp_path, capsys):
     assert "certificate PASS" in capsys.readouterr().out
 
 
-def test_solve_no_renormalize_rejects_truncated_rule(tmp_path, capsys):
-    path = write_problem(tmp_path, {
-        "norm": {"type": "example2", "dimension": 12},
-        "alpha": {"rule": "geometric", "ratio": 0.25},
-    })
-    assert main(["solve", path, "--no-renormalize"]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("flags", [["--max-iter", "3"], ["--no-renormalize"]],
+                         ids=["max-iter", "no-renormalize"])
+def test_solve_removed_flags_exit_2(tmp_path, capsys, flags):
+    # the Newton budget is fixed and geometric weights are always
+    # renormalized, so argparse refuses both flags
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", sup3(tmp_path)] + flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_solve_unreachable_certificate_tolerance(tmp_path, capsys):
@@ -114,7 +116,6 @@ def test_solve_unreachable_certificate_tolerance(tmp_path, capsys):
 def test_solve_unreachable_gap_tolerance(tmp_path, capsys):
     doc = random_composite_doc(0, 4)
     doc["tolerances"] = {"gap": 1e-300}
-    doc["max_iterations"] = 1
     path = write_problem(tmp_path, doc)
     assert main(["solve", path]) == 3
     assert "error:" in capsys.readouterr().err
@@ -216,8 +217,9 @@ PARSE_FAILURES = [
     ("top-level-not-object", [SUP3, ALPHA3],
      "problem file must be a JSON object"),
     ("missing-norm", {"alpha": ALPHA3}, 'problem file is missing "norm"'),
-    ("bad-max-iterations", {"norm": SUP3, "alpha": ALPHA3, "max_iterations": 0},
-     '"max_iterations" must be a positive integer'),
+    ("max-iterations-key", {"norm": SUP3, "alpha": ALPHA3,
+                            "max_iterations": 5000},
+     "unknown key(s) in problem file: max_iterations"),
 ]
 
 

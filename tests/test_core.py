@@ -89,10 +89,14 @@ def test_tail_vector_entries_and_limits():
         x.entry(0)
 
 
-def test_tail_vector_scale_and_validation():
-    x = TailVector(np.array([1.0]), -2.0)
-    y = x.scale(0.5)
-    assert np.array_equal(y.head, [0.5]) and y.tail == -1.0
+def test_tail_vector_validation():
+    assert np.array_equal(TailVector(2.0, 0.0).head, [2.0])
+    assert np.array_equal(TailVector([1, 2], 0.0).head, [1.0, 2.0])
+    assert not hasattr(TailVector, "scale")
+    with pytest.raises(DimensionMismatch):
+        TailVector([[1.0, 2.0], [3.0, 4.0]], 0.0)
+    with pytest.raises(DimensionMismatch):
+        TailVector(np.zeros((1, 1)), 0.0)
     with pytest.raises(ValueError):
         TailVector(np.array([np.nan]), 0.0)
     with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ from zenger import (
     LPResult,
     MaxPivotsExceeded,
     NumericalBreakdown,
+    SupNorm,
+    dual_norm_lmo,
     example2_family,
     generators,
     solve_lp,
@@ -164,6 +166,21 @@ def test_program_validation():
         LinearProgram(np.ones((2, 2, 2)), np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError, match="finite"):
         LinearProgram([[1.0, np.nan]], np.ones((3, 2)), np.ones(3))
+
+
+def test_program_leaves_the_callers_arrays_writeable():
+    # the program freezes copies of its objective, lhs and rhs, never the
+    # arrays it is given
+    c, A, b = np.array([1.0, 1.0]), np.eye(2), np.ones(2)
+    lp = LinearProgram(c, A, b)
+    assert solve_lp(lp).value == 2.0
+    for given, kept in ((c, lp.objective), (A, lp.lhs), (b, lp.rhs)):
+        assert given.flags.writeable
+        assert not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+    g = np.array([0.5, -2.0])
+    assert dual_norm_lmo(SupNorm(2), g).value == 2.5
+    assert g.flags.writeable
 
 
 def test_memory_scales_with_the_nonbasic_columns():

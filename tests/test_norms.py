@@ -348,6 +348,21 @@ def test_projection_norm_solves_only_moved_rows(monkeypatch):
     assert calls == []
 
 
+_CASE_9 = pytest.mark.xfail(
+    strict=True, raises=LPFailure,
+    reason="ROADMAP item 2, case 9: the simplex refuses its own optimum")
+
+
+@pytest.mark.parametrize("N", [14, pytest.param(15, marks=_CASE_9),
+                               pytest.param(20, marks=_CASE_9),
+                               pytest.param(29, marks=_CASE_9), 30])
+def test_projection_norm_cascade_is_exact(N):
+    # ||P_N|| = 1 + 2^-N on the paper's cascade; N = 15..29 raise LPFailure
+    # today (a row violated by 0.25), and the strict mark turns the pin into
+    # a failure once the LP returns the right value there
+    assert projection_norm(example2_family(N), N) == 1.0 + 2.0 ** -N
+
+
 def test_projection_norm_rejects_bad_N():
     with pytest.raises(ValueError):
         projection_norm(SupNorm(2), 0)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,8 @@ def test_support_curve_lipschitz_and_mean_bound():
 
 
 def test_hull_check_normal_touches_boundary():
-    report = spectrum_hull_check(np.diag([0.0, 1.0]), grid_size=64)
+    D = np.diag([0.0, 1.0])
+    report = spectrum_hull_check(D, support_curve(D, 64))
     assert report.ok
     assert abs(report.worst_margin) <= 1e-8
 
@@ -106,16 +109,17 @@ def test_hull_check_normal_touches_boundary():
     # slack scales with max|A_ij|
     A = np.diag([3e9, 2e9j, -1e9 - 1e9j])
     curve = support_curve(A, 64)
-    report = spectrum_hull_check(A, grid_size=64, curve=curve)
+    report = spectrum_hull_check(A, curve)
     assert report.ok
     assert abs(report.worst_margin) <= 1e-8 * 3e9
     # a curve pulled inward by 1e-6 * max|A_ij| is still caught
     shifted = SupportCurve(curve.thetas, curve.values - 1e-6 * 3e9)
-    assert not spectrum_hull_check(A, grid_size=64, curve=shifted).ok
+    assert not spectrum_hull_check(A, shifted).ok
 
 
 def test_hull_check_nilpotent_margin():
-    report = spectrum_hull_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    report = spectrum_hull_check(A, support_curve(A))
     assert report.ok
     assert abs(report.worst_margin - 0.5) <= 1e-12
 
@@ -124,7 +128,7 @@ def test_hull_check_random_triangulars():
     rng = np.random.default_rng(15)
     for _ in range(10):
         A = random_upper_triangular(rng, int(rng.integers(2, 7)))
-        report = spectrum_hull_check(A)
+        report = spectrum_hull_check(A, support_curve(A))
         assert report.ok
         assert report.worst_margin >= -1e-8
 
@@ -144,16 +148,29 @@ def test_hull_equals_range_for_diagonal():
 
 def test_hull_check_rejects_non_triangular():
     with pytest.raises(NotTriangular):
-        spectrum_hull_check(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        A = np.array([[0.0, 0.0], [1.0, 0.0]])
+        spectrum_hull_check(A, support_curve(A))
 
 
-def test_hull_check_curve_grid_mismatch():
+def test_hull_check_takes_its_grid_from_the_curve():
+    # the check has no grid of its own: it reads the angles off the curve
+    # it is given
+    params = inspect.signature(spectrum_hull_check).parameters
+    assert list(params) == ["A", "curve"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
     A = np.diag([0.0, 1.0])
-    curve = support_curve(A, grid_size=32)
-    with pytest.raises(ValueError):
-        spectrum_hull_check(A, grid_size=64, curve=curve)
-    reused = spectrum_hull_check(A, grid_size=32, curve=curve)
-    assert reused.ok
+    coarse = SupportCurve(np.array([0.0, np.pi]), np.array([1.0, 0.0]))
+    assert spectrum_hull_check(A, coarse) == (True, 0.0)
+    pulled = SupportCurve(coarse.thetas, coarse.values - [0.0, 0.5])
+    assert spectrum_hull_check(A, pulled) == (False, -0.5)
+
+
+def test_support_curve_leaves_the_callers_arrays_writeable():
+    thetas, values = np.array([0.0, np.pi]), np.array([1.0, 0.0])
+    curve = SupportCurve(thetas, values)
+    assert thetas.flags.writeable and values.flags.writeable
+    assert not curve.thetas.flags.writeable
+    assert not curve.values.flags.writeable
 
 
 def test_support_curve_validates_shapes():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -16,6 +17,7 @@ from zenger import (
     NotPolyhedral,
     SupNorm,
     Tolerances,
+    ZengerPair,
     ZengerProblem,
     certify,
     dual_norm_lmo,
@@ -64,7 +66,8 @@ def test_problem_validation():
         ZengerProblem(spec=SupNorm(3), alpha=(0.5, 0.5))
     with pytest.raises(NotPolyhedral):
         ZengerProblem(spec=Example1TailNorm(), alpha=(1.0,))
-    with pytest.raises(ValueError):
+    # the Newton budget is the module constant NEWTON_BUDGET, not a field
+    with pytest.raises(TypeError):
         ZengerProblem(spec=SupNorm(1), alpha=(1.0,), max_iterations=0)
 
 
@@ -109,6 +112,22 @@ def test_pair_invariants():
         assert eval_norm(problem.spec, pair.w) <= 1.0 + problem.tol.certificate
         # prices are the exact elementwise quotient
         assert np.array_equal(pair.phi, problem.alpha / pair.w)
+
+
+def test_pair_carries_no_alpha():
+    # phi = alpha / w holds with the problem's alpha; the pair does not
+    # repeat it
+    assert "alpha" not in {f.name for f in dataclasses.fields(ZengerPair)}
+
+
+def test_solve_and_certify_leave_the_callers_arrays_writeable():
+    alpha = np.array([0.25, 0.75])
+    problem = ZengerProblem(spec=SupNorm(2), alpha=alpha)
+    assert not problem.alpha.flags.writeable
+    pair = solve_zenger(problem)
+    assert certify(pair, problem).ok
+    for arr in (alpha, pair.w, pair.phi):
+        assert arr.flags.writeable
 
 
 def test_coordinate_floor():
@@ -180,16 +199,14 @@ def test_scale_invariance():
     assert abs(scaled.gap - base.gap) <= 1e-9
 
 
-def one_iteration_problem():
-    # an unreachable gap tolerance turns finite termination into the error;
-    # one Newton step leaves the barrier far from the optimum, so the gap
-    # stays positive
+def unreachable_gap_problem():
+    # an unreachable gap tolerance turns finite termination into the error:
+    # the finished solve's gap, about 9e-13, is far above 10 * 1e-300
     rng = np.random.default_rng(0)
     return ZengerProblem(
         spec=random_composite(rng, 4),
         alpha=random_alpha(rng, 4),
         tol=Tolerances(gap=1e-300),
-        max_iterations=1,
     )
 
 
@@ -213,21 +230,26 @@ def stalled_instance():
 
 
 def test_nonconvergence_is_raised():
-    problem = one_iteration_problem()
+    problem = unreachable_gap_problem()
     with pytest.raises(NonConvergence) as exc:
         solve_zenger(problem)
     assert exc.value.gap > 0.0
 
 
-def test_max_iterations_caps_newton_steps():
+def test_max_iterations_caps_newton_steps(monkeypatch):
+    # NEWTON_BUDGET is read on every solve; a budget of exactly the steps
+    # taken changes nothing, and half of it leaves the gap open
     problem = ZengerProblem(spec=Example2Norm(12),
                             alpha=geometric_alpha(0.25, 12))
     pair = solve_zenger(problem)
-    capped = solve_zenger(replace(problem, max_iterations=pair.iterations))
+    assert pair.iterations < zenger.solver.NEWTON_BUDGET
+    monkeypatch.setattr(zenger.solver, "NEWTON_BUDGET", pair.iterations)
+    capped = solve_zenger(problem)
     assert capped.iterations == pair.iterations
     assert np.array_equal(capped.w, pair.w)
+    monkeypatch.setattr(zenger.solver, "NEWTON_BUDGET", pair.iterations // 2)
     with pytest.raises(NonConvergence):
-        solve_zenger(replace(problem, max_iterations=pair.iterations // 2))
+        solve_zenger(problem)
 
 
 def test_stalled_ill_conditioned_solve_raises(tmp_path, capsys):
