@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -257,7 +258,7 @@ def _write_csv(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str]:
     parsed = _load_problem(args.problem)
     spec = parsed.spec
     if isinstance(spec, Example1TailNorm):
@@ -309,10 +310,10 @@ def cmd_solve(args) -> int:
         ),
         f"certificate {verdict} (tolerance {_fmt_h(cert.tolerance)})",
     ]
-    print("\n".join(csv_lines) + "\n\n" + "\n".join(human))
     if args.csv_out:
         _write_csv(args.csv_out, csv_lines)
-    return EXIT_OK if cert.ok else EXIT_FAIL
+    report = "\n".join(csv_lines) + "\n\n" + "\n".join(human)
+    return (EXIT_OK if cert.ok else EXIT_FAIL), report
 
 
 def _tail_vector_str(x: TailVector) -> str:
@@ -320,7 +321,7 @@ def _tail_vector_str(x: TailVector) -> str:
     return f"head=({head}), tail={_fmt_h(x.tail)}"
 
 
-def cmd_asymptotics(args) -> int:
+def cmd_asymptotics(args) -> tuple[int, str]:
     parsed = _load_problem(args.problem)
     spec = parsed.spec
     ns = _parse_n_range(args.n_range)
@@ -366,10 +367,9 @@ def cmd_asymptotics(args) -> int:
     text = "\n".join(csv_lines)
     if extra:
         text += "\n\n" + "\n".join(extra)
-    print(text)
     if args.csv_out:
         _write_csv(args.csv_out, csv_lines)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -407,7 +407,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return out
 
 
-def cmd_numrange(args) -> int:
+def cmd_numrange(args) -> tuple[int, str]:
     A = _load_matrix(args.matrix)
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")
@@ -421,10 +421,10 @@ def cmd_numrange(args) -> int:
         f"worst margin = {_fmt_h(check.worst_margin)}",
         f"spectrum hull inside numerical range: {verdict}",
     ]
-    print("\n".join(csv_lines) + "\n\n" + "\n".join(human))
     if args.csv_out:
         _write_csv(args.csv_out, csv_lines)
-    return EXIT_OK if check.ok else EXIT_FAIL
+    report = "\n".join(csv_lines) + "\n\n" + "\n".join(human)
+    return (EXIT_OK if check.ok else EXIT_FAIL), report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -453,16 +453,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, at import, so its cost is paid by the import and
+# not by every call of main; parse_args keeps no state between calls
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     handler = {
         "solve": cmd_solve,
         "asymptotics": cmd_asymptotics,
         "numrange": cmd_numrange,
     }[args.command]
     try:
-        return handler(args)
+        code, report = handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -478,6 +482,16 @@ def main(argv=None) -> int:
     except (ZengerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`zenger ... | head`); what is
+        # left, and the interpreter's flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -47,6 +47,13 @@ def random_composite_doc(seed, n, max_blocks=3):
     }
 
 
+def module_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_solve_sup_norm_report(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     code = main(["solve", sup3(tmp_path), "--csv-out", str(csv_path)])
@@ -74,14 +81,59 @@ def test_module_entry_point_matches_main(tmp_path, capsys):
     path = sup3(tmp_path)
     assert main(["solve", path]) == 0
     want = capsys.readouterr().out
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "zenger", "solve", path],
-                          env=env, cwd=tmp_path, capture_output=True,
+                          env=module_env(), cwd=tmp_path, capture_output=True,
                           check=False)
     assert proc.returncode == 0
     assert proc.stdout == want.encode()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", None], 0),
+    (["solve", None, "--tol", "1e-18"], 1),
+    (["numrange", "grid"], 0),
+], ids=["solve-pass", "solve-fail", "numrange-long-report"])
+def test_closed_pipe_keeps_the_exit_code(tmp_path, argv, code):
+    # the reader is gone before the report is written (`zenger ... | head`):
+    # no traceback, and the exit code is the subcommand's own; the 256-row
+    # numrange report is longer than the stdout buffer
+    problem = write_problem(tmp_path, {
+        "norm": {"type": "example2", "dimension": 12},
+        "alpha": {"rule": "geometric", "ratio": 0.25},
+    })
+    matrix = write_matrix(tmp_path, "2\n1 1\n0 2\n")
+    argv = [problem if a is None else matrix if a == "grid" else a
+            for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zenger"] + argv,
+                              env=module_env(), cwd=tmp_path,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              check=False)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == code
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process; one call's options must not
+    # reach the next
+    path = write_problem(tmp_path, {
+        "norm": {"type": "example2", "dimension": 12},
+        "alpha": {"rule": "geometric", "ratio": 0.25},
+    })
+    assert main(["solve", path, "--tol", "1e-18"]) == 1
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out
+    assert "certificate FAIL (tolerance 1e-18)" in out
+    assert "certificate PASS (tolerance 1e-06)" in out
+    csv_path = tmp_path / "out.csv"
+    assert main(["solve", path, "--csv-out", str(csv_path)]) == 0
+    csv_path.unlink()
+    assert main(["solve", path]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
 
 
 def test_solve_cascade_geometric_rule(tmp_path, capsys):
