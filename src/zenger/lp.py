@@ -9,9 +9,12 @@ nonbasic columns and the rhs are stored.  Deterministic by construction,
 so repeated runs give bit-identical answers.
 
 The objective may be one vector c of shape (n,) or a stack of k objectives
-of shape (k, n) over the same A and b.  A stack pivots in lockstep, one
-dictionary per objective in a single array, each objective making its own
-entering and leaving choices with the arithmetic of a solve on its own, so
+of shape (k, n) over the same A and b.  One vector pivots a single
+(2n + 2) x (m + 1) dictionary with plain indexing and scalar ratio and tie
+arithmetic.  A stack, even of one row, pivots in lockstep, one dictionary
+per objective in a single array, each objective making its own entering and
+leaving choices.  The two loops share the rules, tolerances, pivot cap,
+row check and error texts, and do the same elementwise arithmetic, so
 every row of a stacked result has the bits a one-objective solve of that
 row gives.  Stacks run in chunks whose dictionaries hold at most
 ``STACK_BYTES``.
@@ -113,6 +116,11 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     problems are reported through ``status``.  For a stack, the error is
     that of the lowest-index objective that fails.
 
+    A 1-d objective goes through the one-objective loop
+    :func:`_pivot_one`; a (k, n) stack, k = 1 included, through the
+    lockstep loop :func:`_pivot_stack`.  Both give the same status, value
+    and point bits for the same objective.
+
     The dictionary holds one column per nonbasic variable plus the rhs:
     about (2n + 2) x (m + 1) floats per objective, and a pivot costs
     O(m * n) for each.
@@ -120,19 +128,21 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     The returned point is the optimal basic point the pivots reach; it is
     a vertex of the feasible region whenever the optimum is unique.
     """
-    C = np.atleast_2d(lp.objective)
-    m, n = lp.lhs.shape
-    k = C.shape[0]
-    value = np.full(k, np.inf)
-    point = np.full((k, n), np.nan)
-    unbounded = np.zeros(k, dtype=bool)
-    chunk = max(1, STACK_BYTES // (8 * (2 * n + 2) * (m + 1)))
     # numpy runs a ufunc call with broadcast operands that fit its buffer
     # (8192 elements by default) through copies into that buffer, which
     # makes the rank-one update of a pivot about three times slower; with a
     # 16-element buffer the update runs on the arrays themselves
     bufsize = np.setbufsize(16)
     try:
+        if lp.objective.ndim == 1:
+            return _pivot_one(lp)
+        C = lp.objective
+        m, n = lp.lhs.shape
+        k = C.shape[0]
+        value = np.full(k, np.inf)
+        point = np.full((k, n), np.nan)
+        unbounded = np.zeros(k, dtype=bool)
+        chunk = max(1, STACK_BYTES // (8 * (2 * n + 2) * (m + 1)))
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
             failure = _pivot_stack(lp, C[lo:hi], value[lo:hi], point[lo:hi],
@@ -141,12 +151,84 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                 raise failure
     finally:
         np.setbufsize(bufsize)
-
-    if lp.objective.ndim == 1:
-        if unbounded[0]:
-            return LPResult(UNBOUNDED, float("inf"), None)
-        return LPResult(OPTIMAL, float(value[0]), point[0])
     return LPResult(UNBOUNDED if unbounded.any() else OPTIMAL, value, point)
+
+
+def _dictionary(lp, C) -> np.ndarray:
+    """Slack-basis dictionaries of the objectives ``C``, one (n,) vector or
+    a (k, n) stack.
+
+    Each dictionary is stored transposed, so a column is contiguous: entry
+    0 is a zero column, entries 1..2n hold the columns of u and v and the
+    last entry the rhs.  Each column carries the m constraint rows and,
+    last, its reduced cost, so one rank-one update pivots the constraints
+    and the costs.  The costs hold cost_B B^-1 N - cost_N and, last, the
+    rhs term; optimal when every entry >= -COST_EPS.  Slacks cost nothing,
+    and the zero column never improves: when nothing else does, it enters,
+    finds no eligible row and ends the objective's pivots.
+    """
+    A, b = lp.lhs, lp.rhs
+    m, n = A.shape
+    D = np.zeros(C.shape[:-1] + (2 * n + 2, m + 1))
+    D[..., 1:n + 1, :m] = A.T
+    D[..., n + 1:-1, :m] = -A.T
+    D[..., -1, :m] = b
+    D[..., 1:n + 1, m] = -C
+    D[..., n + 1:-1, m] = C
+    return D
+
+
+def _pivot_one(lp) -> LPResult:
+    """Pivot the single objective of ``lp`` to its result.
+
+    The loop of :func:`_pivot_stack` for one dictionary of
+    :func:`_dictionary`: the same choices, checks and errors, and the same
+    elementwise arithmetic on one (2n + 2, m + 1) array.  The ratios of the
+    eligible rows and the tie bound come from the same divisions and the
+    same three float operations, so the bits match a stack of one.
+    """
+    c = lp.objective
+    m, n = lp.lhs.shape
+    cap = default_pivot_cap(m, n)
+    nolabel = 2 * n + m  # above every label
+
+    D = _dictionary(lp, c)
+    costs, rhs = D[:-1, m], D[-1, :m]
+    update = np.empty_like(D)
+    nonbasic = np.arange(-1, 2 * n)
+    basis = np.arange(2 * n, nolabel)
+
+    for _ in range(cap):
+        p = int(np.where(costs < -COST_EPS, nonbasic, nolabel).argmin())
+        if p == 0:
+            value, x = _optimum(lp, c, rhs, basis, 1.0 + np.abs(lp.rhs))
+            return LPResult(OPTIMAL, value, x)
+        entries = D[p, :m]
+        eligible = (entries > PIVOT_EPS).nonzero()[0]
+        if eligible.size == 0:
+            if np.any(entries > 0):
+                raise NumericalBreakdown(
+                    f"pivot column {nonbasic[p]} has only entries below "
+                    f"{PIVOT_EPS}")
+            return LPResult(UNBOUNDED, float("inf"), None)
+        ratios = rhs[eligible] / entries[eligible]
+        best = float(ratios.min())
+        tied = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        r = int(tied[basis[tied].argmin()])
+        piv = entries[r]
+        # column p takes the leaving variable, whose column is e_r before
+        # the pivot; every entry then gets the update the full tableau
+        # would do
+        col = D[p].copy()
+        col[r] = 0.0
+        D[p] = 0.0
+        D[p, r] = 1.0
+        row = D[:, r] / piv
+        D[:, r] = row
+        np.multiply(row[:, None], col[None, :], out=update)
+        D -= update
+        basis[r], nonbasic[p] = nonbasic[p], basis[r]
+    raise MaxPivotsExceeded(f"no optimum within {cap} pivots")
 
 
 def _pivot_stack(lp, C, value, point, unbounded) -> LPError | None:
@@ -158,30 +240,18 @@ def _pivot_stack(lp, C, value, point, unbounded) -> LPError | None:
     still pivoting, and a finished slot is refilled with the last live one,
     so the live objectives are always a leading view of the arrays.
 
-    Each objective's dictionary is stored transposed, so a column is
-    contiguous: entry 0 is a zero column, entries 1..2n hold the nonbasic
-    columns (labels in ``nonbasic``) and the last entry the rhs.  Each
-    column carries the m constraint rows and, last, its reduced cost, so
-    one rank-one update pivots the constraints and the costs.  A zero may
-    come out with the other sign than in a full-tableau pivot; no choice
-    and no returned bit depends on the sign of a zero.
+    Each objective has a dictionary of :func:`_dictionary`, whose nonbasic
+    columns carry the labels in ``nonbasic``.  A zero may come out with the
+    other sign than in a full-tableau pivot; no choice and no returned bit
+    depends on the sign of a zero.
     """
-    A, b = lp.lhs, lp.rhs
+    b = lp.rhs
     k, n = C.shape
     m = b.size
     cap = default_pivot_cap(m, n)
     nolabel = 2 * n + m  # above every label
 
-    D = np.zeros((k, 2 * n + 2, m + 1))
-    D[:, 1:n + 1, :m] = A.T
-    D[:, n + 1:-1, :m] = -A.T
-    D[:, -1, :m] = b
-    # the costs hold cost_B B^-1 N - cost_N and, last, the rhs term; optimal
-    # when every entry >= -COST_EPS.  Slacks cost nothing, and the zero
-    # column never improves: when nothing else does, it enters, finds no
-    # eligible row and ends the objective's pivots.
-    D[:, 1:n + 1, m] = -C
-    D[:, n + 1:-1, m] = C
+    D = _dictionary(lp, C)
     update = np.empty_like(D)
     nonbasic = np.empty((k, 2 * n + 1), dtype=int)
     nonbasic[:] = np.arange(-1, 2 * n)

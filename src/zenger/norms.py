@@ -226,9 +226,9 @@ def generators(spec: NormSpec) -> np.ndarray:
 
     Expanding the sign and row choices of every block gives prod_j
     (2 * rows_j) rows; the distinct ones are returned, sign symmetric and
-    sorted.  When the product times the dimension passes
-    ``GENERATOR_LIMIT`` entries, :class:`GeneratorBlowup` is raised before
-    anything is allocated."""
+    sorted lexicographically by :func:`_sorted_distinct_rows`.  When the
+    product times the dimension passes ``GENERATOR_LIMIT`` entries,
+    :class:`GeneratorBlowup` is raised before anything is allocated."""
     blocks = _blocks_of(spec)
     count = math.prod(2 * blk.matrix.shape[0] for blk in blocks)
     n = blocks[0].matrix.shape[1]
@@ -242,9 +242,27 @@ def generators(spec: NormSpec) -> np.ndarray:
         scaled = blk.coef * blk.matrix
         step = np.concatenate([scaled, -scaled])
         combos = (combos[:, None, :] + step[None, :, :]).reshape(-1, n)
-    combos = np.unique(combos, axis=0)
+    combos = _sorted_distinct_rows(combos)
     combos.setflags(write=False)
     return combos
+
+
+def _sorted_distinct_rows(V: np.ndarray) -> np.ndarray:
+    """The rows ``np.unique(V, axis=0)`` returns, in its order: sorted
+    lexicographically, one of each run of equal rows.
+
+    A stable sort of the first column settles the order unless that column
+    has ties, as the rows of :class:`SupNorm` and :class:`Example2Norm`
+    do; only then are all columns sorted.  Of rows equal up to the sign of
+    a zero, the first one in ``V`` is kept."""
+    order = np.argsort(V[:, 0], kind="stable")
+    first = V[order, 0]
+    if np.any(first[1:] == first[:-1]):
+        order = np.lexsort(V.T[::-1])
+    V = V[order]
+    keep = np.ones(V.shape[0], dtype=bool)
+    keep[1:] = np.any(V[1:] != V[:-1], axis=1)
+    return V[keep]
 
 
 def dual_norm_lmo(spec: NormSpec, g, *, gens: np.ndarray | None = None) -> DualEval:
@@ -308,7 +326,7 @@ def _canonical_rows(V: np.ndarray) -> np.ndarray:
     idx = np.argmax(V != 0.0, axis=1)
     lead = V[np.arange(V.shape[0]), idx]
     V = V * np.where(lead < 0, -1.0, 1.0)[:, None]
-    return np.unique(V, axis=0)
+    return _sorted_distinct_rows(V)
 
 
 def equivalence_constants(spec: NormSpec) -> EquivalenceConstants:

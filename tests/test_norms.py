@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from zenger import (
     projection_norm,
 )
 from zenger.lp import LinearProgram
-from zenger.norms import _canonical_rows
+from zenger.norms import _blocks_of, _canonical_rows
 
 from oracle import BRUTE_MAX_CONSTRAINTS, brute_force_vertices
 
@@ -138,6 +140,61 @@ def test_generator_counts_and_values():
     for spec in (SupNorm(3), Example2Norm(4), random_composite(rng, 3)):
         U = generators(spec)
         assert np.array_equal(U, np.unique(U, axis=0))  # distinct and sorted
+
+
+def _expansion(spec):
+    # every sign and row choice of every block, summed block by block from
+    # zero as generators() sums them, one row per choice
+    steps = []
+    for blk in _blocks_of(spec):
+        scaled = blk.coef * blk.matrix
+        steps.append(np.concatenate([scaled, -scaled]))
+    rows = []
+    for choice in itertools.product(*steps):
+        total = np.zeros(steps[0].shape[1])
+        for step in choice:
+            total = total + step
+        rows.append(total)
+    return np.array(rows)
+
+
+def test_generators_match_np_unique():
+    # np.unique(axis=0) is the oracle of the row sort: the same rows in the
+    # same order, to the byte, with and without ties in the first column
+    rng = np.random.default_rng(35)
+    specs = [random_composite(rng, int(rng.integers(2, 5))) for _ in range(12)]
+    specs += [Example2Norm(n) for n in range(1, 13)]
+    specs += [SupNorm(n) for n in range(1, 7)]
+    # a zero row and a repeated row in one block
+    specs.append(CompositeNorm((
+        (1.0, np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])),
+        (0.5, np.eye(3)),
+    )))
+    for spec in specs:
+        expansion = _expansion(spec)
+        oracle = np.unique(expansion, axis=0)
+        assert generators(spec).tobytes() == oracle.tobytes()
+
+
+def test_canonical_rows_match_np_unique():
+    # projected generator rows, whose sign flips leave -0.0 entries; equal
+    # rows may keep either sign of a zero, so equality is by value
+    rng = np.random.default_rng(36)
+    specs = [Example2Norm(n) for n in range(2, 9)]
+    specs += [random_composite(rng, 4, max_blocks=2) for _ in range(6)]
+    negative_zeros = 0
+    for spec in specs:
+        gens = generators(spec)
+        for N in range(1, gens.shape[1]):
+            V = gens.copy()
+            V[:, N:] = 0.0
+            V = V[np.any(V != 0.0, axis=1)]
+            lead = V[np.arange(V.shape[0]), np.argmax(V != 0.0, axis=1)]
+            flipped = V * np.where(lead < 0, -1.0, 1.0)[:, None]
+            negative_zeros += np.signbit(flipped[flipped == 0.0]).sum()
+            assert np.array_equal(_canonical_rows(V),
+                                  np.unique(flipped, axis=0))
+    assert negative_zeros > 0
 
 
 def test_generator_faithfulness():

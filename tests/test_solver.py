@@ -441,7 +441,11 @@ def test_example2_gap_is_never_negative():
 
 def test_solve_scales_with_the_norm_description():
     # 400 block rows, where the generator expansion would need 4 * 200**2
-    # rows of dimension 200 and is refused; the lifted program has 801
+    # rows of dimension 200 and is refused; the lifted program has 801.
+    # A small solve first, so the timed one does not pay the process's
+    # first-call costs (about 1 s when run alone, against 0.15 s warm)
+    solve_zenger(ZengerProblem(spec=Example2Norm(4),
+                               alpha=geometric_alpha(0.5, 4)))
     problem = ZengerProblem(
         spec=Example2Norm(200),
         alpha=np.random.default_rng(7).dirichlet(np.ones(200)),
@@ -449,6 +453,7 @@ def test_solve_scales_with_the_norm_description():
     start = time.perf_counter()
     pair = solve_zenger(problem)
     assert time.perf_counter() - start < 1.0
+    assert pair.iterations <= 60
     assert 0.0 <= pair.gap <= problem.tol.gap
     assert abs(eval_norm(problem.spec, pair.w) - 1.0) <= 1e-12
 
@@ -470,6 +475,76 @@ def test_solve_runs_no_lp(monkeypatch):
     assert calls == []
     certify(pair, problem)
     assert calls == ["generators", "dual_norm_lmo", "solve_lp"]
+
+
+def _one_and_stacked(lp):
+    # the outcome of a 1-d objective and of the same objective as a (1, n)
+    # stack: status, value and point bytes, or the error and its text
+    outcomes = []
+    for objective in (lp.objective, lp.objective[None, :]):
+        try:
+            result = zenger.lp.solve_lp(
+                zenger.lp.LinearProgram(objective, lp.lhs, lp.rhs))
+        except zenger.lp.LPError as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        value = np.float64(np.reshape(result.value, -1)[0])
+        point = None
+        if value != np.inf:
+            point = np.reshape(result.point, -1).tobytes()
+        outcomes.append((result.status, value.tobytes(), point))
+    return outcomes
+
+
+def test_one_objective_loop_matches_a_stack_of_one(monkeypatch):
+    # every LP certify poses on the 50 criterion-1 instances and on the
+    # stalled instance, and the dual-norm LPs of Example2Norm(n) for seeded
+    # functionals: the one-objective loop and the lockstep loop on a stack
+    # of one give the same status, value and point bytes, or the same error
+    posed = []
+    real_solve = zenger.lp.solve_lp
+
+    def recording_solve(lp):
+        posed.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(zenger.lp, "solve_lp", recording_solve)
+    for problem in criterion_1_problems():
+        certify(solve_zenger(problem), problem)
+    blocks, alpha = stalled_instance()
+    stalled = ZengerProblem(spec=CompositeNorm(tuple(blocks)), alpha=alpha)
+    with pytest.raises(LPFailure):
+        certify(solve_zenger(stalled), stalled)
+    monkeypatch.setattr(zenger.lp, "solve_lp", real_solve)
+    assert len(posed) == 51
+    assert all(lp.objective.ndim == 1 for lp in posed)
+    for lp in posed:
+        one, stacked = _one_and_stacked(lp)
+        assert one == stacked
+    assert one == (zenger.lp.NumericalBreakdown,
+                   "optimal point violates a row by 3.885e+02")
+
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        spec = Example2Norm(n)
+        for g in rng.normal(size=(5, n)):
+            alone = dual_norm_lmo(spec, g)
+            value, achiever = dual_norm_lmo(spec, g[None, :])
+            assert np.float64(alone.value).tobytes() == value[0].tobytes()
+            assert alone.achiever.tobytes() == achiever[0].tobytes()
+
+    # with the cap at 2 pivots, an objective that needs one pivot is
+    # solved, and one that needs two or three meets the cap first
+    monkeypatch.setattr(zenger.lp, "default_pivot_cap", lambda m, n: 2)
+    box = (np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    ends = []
+    for c in ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]):
+        one, stacked = _one_and_stacked(
+            zenger.lp.LinearProgram(np.array(c), *box))
+        assert one == stacked
+        ends.append(one[0])
+    assert ends == [zenger.lp.OPTIMAL, zenger.lp.MaxPivotsExceeded,
+                    zenger.lp.MaxPivotsExceeded]
 
 
 def test_brute_force_closed_forms():
