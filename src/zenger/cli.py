@@ -33,7 +33,6 @@ from .asymptotics import (
     tail_projection_table,
 )
 from .core import TailVector, Tolerances, ZengerError
-from .lp import LPError
 from .norms import (
     Block,
     CompositeNorm,
@@ -476,7 +475,7 @@ def main(argv=None) -> int:
     except GeneratorBlowup as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATOR_BLOWUP
-    except (NonConvergence, LPFailure, LPError, SearchLimitExceeded) as exc:
+    except (NonConvergence, LPFailure, SearchLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ZengerError, ValueError) as exc:

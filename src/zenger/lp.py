@@ -13,19 +13,18 @@ of shape (k, n) over the same A and b.  One vector pivots a single
 (2n + 2) x (m + 1) dictionary with plain indexing and scalar ratio and tie
 arithmetic.  A stack, even of one row, pivots in lockstep, one dictionary
 per objective in a single array, each objective making its own entering and
-leaving choices.  The two loops share the rules, tolerances, pivot cap,
-row check and error texts, and do the same elementwise arithmetic, so
-every row of a stacked result has the bits a one-objective solve of that
-row gives.  Stacks run in chunks whose dictionaries hold at most
-``STACK_BYTES``.
+leaving choices.  The two loops share the rules and tolerances and do the
+same elementwise arithmetic, so every row of a stacked result has the bits
+a one-objective solve of that row gives.  Stacks run in chunks whose
+dictionaries hold at most ``STACK_BYTES``.
 
 A single objective gives a float ``value`` and a ``point`` of shape (n,),
 or None when unbounded.  A stack gives ``value`` of shape (k,) and
 ``point`` of shape (k, n); ``status`` is ``optimal`` only when every row
 is, otherwise ``unbounded``, and the unbounded rows hold ``inf`` values and
-NaN points.  When objectives of a stack fail, the others still finish and
-the error of the lowest-index failure is raised, the error a one-at-a-time
-loop over the rows would raise first.
+NaN points.  The one-objective loop decides and words every error: a chunk
+of a stack that fails is solved again one objective at a time, which
+raises the error a one-at-a-time loop over the rows would raise first.
 """
 
 from __future__ import annotations
@@ -113,13 +112,14 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     Raises :class:`MaxPivotsExceeded` after ``default_pivot_cap(m, n)``
     pivots, or :class:`NumericalBreakdown` on a tiny pivot or on an optimum
     that violates a row by more than ACTIVE_EPS * (1 + |b_i|); unbounded
-    problems are reported through ``status``.  For a stack, the error is
-    that of the lowest-index objective that fails.
+    problems are reported through ``status``.
 
     A 1-d objective goes through the one-objective loop
     :func:`_pivot_one`; a (k, n) stack, k = 1 included, through the
     lockstep loop :func:`_pivot_stack`.  Both give the same status, value
-    and point bits for the same objective.
+    and point bits for the same objective.  A chunk whose lockstep solve
+    fails is solved again by :func:`_pivot_one`, one objective at a time,
+    so a stack raises the error of its lowest-index failing objective.
 
     The dictionary holds one column per nonbasic variable plus the rhs:
     about (2n + 2) x (m + 1) floats per objective, and a pivot costs
@@ -135,23 +135,24 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     bufsize = np.setbufsize(16)
     try:
         if lp.objective.ndim == 1:
-            return _pivot_one(lp)
+            return _pivot_one(lp, lp.objective)
         C = lp.objective
         m, n = lp.lhs.shape
         k = C.shape[0]
         value = np.full(k, np.inf)
         point = np.full((k, n), np.nan)
-        unbounded = np.zeros(k, dtype=bool)
         chunk = max(1, STACK_BYTES // (8 * (2 * n + 2) * (m + 1)))
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
-            failure = _pivot_stack(lp, C[lo:hi], value[lo:hi], point[lo:hi],
-                                   unbounded[lo:hi])
-            if failure is not None:
-                raise failure
+            if not _pivot_stack(lp, C[lo:hi], value[lo:hi], point[lo:hi]):
+                for i in range(lo, hi):
+                    one = _pivot_one(lp, C[i])
+                    if one.point is not None:
+                        value[i], point[i] = one.value, one.point
     finally:
         np.setbufsize(bufsize)
-    return LPResult(UNBOUNDED if unbounded.any() else OPTIMAL, value, point)
+    return LPResult(UNBOUNDED if np.isinf(value).any() else OPTIMAL,
+                    value, point)
 
 
 def _dictionary(lp, C) -> np.ndarray:
@@ -178,16 +179,16 @@ def _dictionary(lp, C) -> np.ndarray:
     return D
 
 
-def _pivot_one(lp) -> LPResult:
-    """Pivot the single objective of ``lp`` to its result.
+def _pivot_one(lp, c) -> LPResult:
+    """Pivot the single objective ``c`` over the constraints of ``lp``.
 
-    The loop of :func:`_pivot_stack` for one dictionary of
-    :func:`_dictionary`: the same choices, checks and errors, and the same
-    elementwise arithmetic on one (2n + 2, m + 1) array.  The ratios of the
-    eligible rows and the tie bound come from the same divisions and the
-    same three float operations, so the bits match a stack of one.
+    This loop decides and words every LP error, with :func:`_optimum`'s
+    row check; :func:`_pivot_stack` only reports that a chunk failed.  It
+    makes the lockstep loop's choices with the same elementwise arithmetic
+    on one (2n + 2, m + 1) dictionary of :func:`_dictionary`: the ratios of
+    the eligible rows and the tie bound come from the same divisions and
+    the same three float operations, so the bits match a stack of one.
     """
-    c = lp.objective
     m, n = lp.lhs.shape
     cap = default_pivot_cap(m, n)
     nolabel = 2 * n + m  # above every label
@@ -231,14 +232,16 @@ def _pivot_one(lp) -> LPResult:
     raise MaxPivotsExceeded(f"no optimum within {cap} pivots")
 
 
-def _pivot_stack(lp, C, value, point, unbounded) -> LPError | None:
+def _pivot_stack(lp, C, value, point) -> bool:
     """Pivot the objectives ``C`` over the constraints of ``lp`` in lockstep.
 
-    Fills the rows of ``value``, ``point`` and ``unbounded``, and returns
-    the error of the lowest-index objective that failed, or None.  Slot j
-    of the stack holds objective ``slot[j]``; the first ``live`` slots are
-    still pivoting, and a finished slot is refilled with the last live one,
-    so the live objectives are always a leading view of the arrays.
+    Fills the optimal rows of ``value`` and ``point`` and returns True, or
+    returns False at the first failure: the pivot cap, a pivot column whose
+    entries are all below ``PIVOT_EPS``, or an error of :func:`_optimum`.
+    Unbounded rows are left as they are.  Slot j of the stack holds
+    objective ``slot[j]``; the first ``live`` slots are still pivoting, and
+    a finished slot is refilled with the last live one, so the live
+    objectives are always a leading view of the arrays.
 
     Each objective has a dictionary of :func:`_dictionary`, whose nonbasic
     columns carry the labels in ``nonbasic``.  A zero may come out with the
@@ -259,69 +262,58 @@ def _pivot_stack(lp, C, value, point, unbounded) -> LPError | None:
     basis[:] = np.arange(2 * n, nolabel)
     slot = list(range(k))
     scale = 1.0 + np.abs(b)
-    errors: list[LPError | None] = [None] * k
     live = k
     pivots = 0
+    Dl, N, B, at = D, nonbasic, basis, np.arange(k)
 
     while live:
-        Dl, N, B = D[:live], nonbasic[:live], basis[:live]
-        at = np.arange(live)
-        while True:
-            if pivots == cap:
-                for j in range(live):
-                    errors[slot[j]] = MaxPivotsExceeded(
-                        f"no optimum within {cap} pivots")
-                live = 0
-                break
-            p = np.where(Dl[:, :-1, m] < -COST_EPS, N, nolabel).argmin(axis=1)
-            col = Dl[at, p]
-            eligible = col[:, :m] > PIVOT_EPS
-            has_row = eligible.any(axis=1)
-            if not has_row.all():
-                # finish in descending slot order, so the last live slot
-                # that refills a finished one is itself still live
-                for j in np.flatnonzero(~has_row)[::-1].tolist():
+        if pivots == cap:
+            return False
+        p = np.where(Dl[:, :-1, m] < -COST_EPS, N, nolabel).argmin(axis=1)
+        col = Dl[at, p]
+        eligible = col[:, :m] > PIVOT_EPS
+        has_row = eligible.any(axis=1)
+        if not has_row.all():
+            # finish in descending slot order, so the last live slot that
+            # refills a finished one is itself still live
+            for j in np.flatnonzero(~has_row)[::-1].tolist():
+                if p[j] == 0:
                     i = slot[j]
-                    if p[j] == 0:
-                        try:
-                            value[i], point[i] = _optimum(
-                                lp, C[i], D[j, -1, :m], basis[j], scale)
-                        except NumericalBreakdown as exc:
-                            errors[i] = exc
-                    elif np.any(col[j, :m] > 0):
-                        errors[i] = NumericalBreakdown(
-                            f"pivot column {nonbasic[j, p[j]]} has only "
-                            f"entries below {PIVOT_EPS}")
-                    else:
-                        unbounded[i] = True
-                    live -= 1
-                    if j < live:
-                        for arr in (D, nonbasic, basis, slot):
-                            arr[j] = arr[live]
-                break
-            # rows that are not eligible get NaN ratios: fmin skips them and
-            # they tie with nothing
-            ratios = Dl[:, -1, :m] / np.where(eligible, col[:, :m], np.nan)
-            best = np.fmin.reduce(ratios, axis=1)
-            tied = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
-            r = np.where(tied, B, nolabel).argmin(axis=1)
-            piv = col[at, r]
-            # column p takes the leaving variable, whose column is e_r
-            # before the pivot; every entry then gets the update the full
-            # tableau would do
-            col[at, r] = 0.0
-            Dl[at, p] = 0.0
-            Dl[at, p, r] = 1.0
-            row = Dl[at, :, r] / piv[:, None]
-            Dl[at, :, r] = row
-            np.multiply(row[:, :, None], col[:, None, :], out=update[:live])
-            Dl -= update[:live]
-            leaving = B[at, r]
-            B[at, r] = N[at, p]
-            N[at, p] = leaving
-            pivots += 1
-
-    return next((e for e in errors if e is not None), None)
+                    try:
+                        value[i], point[i] = _optimum(
+                            lp, C[i], D[j, -1, :m], basis[j], scale)
+                    except LPError:
+                        return False
+                elif np.any(col[j, :m] > 0):
+                    return False
+                live -= 1
+                if j < live:
+                    for arr in (D, nonbasic, basis, slot):
+                        arr[j] = arr[live]
+            Dl, N, B, at = D[:live], nonbasic[:live], basis[:live], at[:live]
+            continue
+        # rows that are not eligible get NaN ratios: fmin skips them and
+        # they tie with nothing
+        ratios = Dl[:, -1, :m] / np.where(eligible, col[:, :m], np.nan)
+        best = np.fmin.reduce(ratios, axis=1)
+        tied = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
+        r = np.where(tied, B, nolabel).argmin(axis=1)
+        piv = col[at, r]
+        # column p takes the leaving variable, whose column is e_r before
+        # the pivot; every entry then gets the update the full tableau
+        # would do
+        col[at, r] = 0.0
+        Dl[at, p] = 0.0
+        Dl[at, p, r] = 1.0
+        row = Dl[at, :, r] / piv[:, None]
+        Dl[at, :, r] = row
+        np.multiply(row[:, :, None], col[:, None, :], out=update[:live])
+        Dl -= update[:live]
+        leaving = B[at, r]
+        B[at, r] = N[at, p]
+        N[at, p] = leaving
+        pivots += 1
+    return True
 
 
 def _optimum(lp, c, rhs, basis, scale) -> tuple[float, np.ndarray]:

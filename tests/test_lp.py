@@ -415,14 +415,73 @@ def test_stacked_solve_raises_the_lowest_index_failure(monkeypatch):
     assert all(r[0] == OPTIMAL for r in _stack_outcomes(np.array(easy), lhs, rhs))
 
 
+def test_tiny_pivot_column_raises():
+    # the entering column's only entry is positive but below PIVOT_EPS:
+    # maximizing x raises, maximizing -x is unbounded, and a stack of both
+    # raises the error of its row 1 after the unbounded row 0
+    lhs, rhs = np.array([[1e-13]]), np.ones(1)
+    error = (NumericalBreakdown, "pivot column 0 has only entries below 1e-12")
+    assert _outcome(solve_lp, LinearProgram(np.array([1.0]), lhs, rhs)) == error
+    assert _outcome(solve_lp, LinearProgram(np.array([-1.0]), lhs, rhs)) == (
+        UNBOUNDED, np.float64(np.inf).tobytes(), None)
+    stack = np.array([[-1.0], [1.0]])
+    assert _stack_outcomes(stack, lhs, rhs) == error
+    assert _loop_outcomes(stack, lhs, rhs) == error
+
+
+def _moved_functionals(N):
+    # generators of example2_family(N) and the canonical functionals that
+    # P_N moves, the stack projection_norm solves
+    U = generators(example2_family(N))
+    V = U[U[:, -1] != 0.0].copy()
+    V[:, -1] = 0.0
+    return U, _canonical_rows(V)
+
+
+def _counted_one_objective_solves(monkeypatch):
+    # the objectives solve_lp hands to the one-objective loop, in order
+    calls = []
+    pivot_one = zenger.lp._pivot_one
+
+    def counted(lp, c):
+        calls.append(c)
+        return pivot_one(lp, c)
+
+    monkeypatch.setattr(zenger.lp, "_pivot_one", counted)
+    return calls
+
+
+def test_lockstep_is_the_success_path(monkeypatch):
+    # a stack is solved again one objective at a time only when its
+    # lockstep solve fails, and that pass stops at the first failing row
+    U, V = _moved_functionals(9)
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    half = np.eye(3)
+    mixed = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
+    calls = _counted_one_objective_solves(monkeypatch)
+    assert solve_lp(LinearProgram(V, U, np.ones(U.shape[0]))).status == OPTIMAL
+    assert solve_lp(LinearProgram(mixed, half, np.ones(3))).status == UNBOUNDED
+    assert calls == []
+
+    monkeypatch.setattr(zenger.lp, "default_pivot_cap", lambda m, n: 2)
+    easy = [np.array([1.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0])]
+    hard = np.array([1.0, 1.0, 1.0])
+    for stack in ([easy[0], hard, easy[1]], [hard, easy[0]], [easy[1], hard]):
+        calls.clear()
+        with pytest.raises(MaxPivotsExceeded):
+            solve_lp(LinearProgram(np.array(stack), box, np.ones(6)))
+        first = next(i for i, c in enumerate(stack) if c is hard)
+        assert np.array_equal(calls, stack[:first + 1])
+    calls.clear()
+    solve_lp(LinearProgram(np.array(easy), box, np.ones(6)))
+    assert calls == []
+
+
 def test_memory_of_a_stack_is_capped_by_its_chunks():
     # the 27 moved functionals of ||P_9|| on example2_family(9): 380 rows,
     # and dictionaries of 67 KB each, 1.8 MB together, solved in chunks of
     # at most STACK_BYTES with the bits of 27 separate solves
-    U = generators(example2_family(9))
-    V = U[U[:, -1] != 0.0].copy()
-    V[:, -1] = 0.0
-    V = _canonical_rows(V)
+    U, V = _moved_functionals(9)
     assert U.shape[0] == 380 and V.shape[0] == 27
     lp = LinearProgram(V, U, np.ones(U.shape[0]))
     tracemalloc.start()
