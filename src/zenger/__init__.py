@@ -14,7 +14,6 @@ from .core import (
     NonPositiveWeight,
     SumMismatch,
     TailVector,
-    Tolerances,
     ZengerError,
     as_vector,
     project_PN,
@@ -112,7 +111,6 @@ __all__ = [
     "SupNorm",
     "SupportCurve",
     "TailVector",
-    "Tolerances",
     "UNBOUNDED",
     "ZengerError",
     "ZengerPair",

@@ -20,6 +20,8 @@ import numpy as np
 from .core import TailVector, ZengerError, project_PN
 from .norms import Example1TailNorm, Example2Norm, NormSpec, eval_norm, projection_norm
 
+REFUTE_LIMIT = 10 ** 6  # indices example1_refute searches before giving up
+
 
 class SearchLimitExceeded(ZengerError):
     """The refuter's partial sums did not pass 1 within the index budget."""
@@ -101,36 +103,19 @@ def example2_family(N: int) -> Example2Norm:
     return Example2Norm(N + 1)
 
 
-# Unit vectors of the tail norm used to probe ||P_N|| from below; the first
-# one is fixed by every P_N, pinning the norm at its ceiling 1.
-_TAIL_PROBES = (
-    TailVector(np.array([1.0]), 0.0),
-    TailVector(np.array([]), 1.0),
-    TailVector(np.array([0.5, -0.5]), 0.5),
-)
-
-
 def tail_projection_table(n_range: Iterable[int]) -> PnTable:
-    """P_N norm estimates for the sup-plus-limsup norm.
+    """P_N norms for the sup-plus-limsup norm, in closed form.
 
-    The norm is not polyhedral, so the table reports the best ratio
-    norm(P_N u) / norm(u) over a finite probe family; since truncation never
-    increases this norm, the analytic bound 1.0 is attached and the probe
-    family always realizes it.
+    ||P_N|| = 1 for every N.  P_N x is finitely supported, so its limsup is
+    0 and norm(P_N x) = sup |P_N x| <= sup |x| <= norm(x); e_1 is fixed by
+    P_N and attains the bound.  The analytic bound 1.0 is attached.
     """
-    spec = Example1TailNorm()
     rows = []
     for N in n_range:
         N = int(N)
         if N < 1:
             raise ValueError("truncation levels are positive integers")
-        best = 0.0
-        for u in _TAIL_PROBES:
-            denom = eval_norm(spec, u)
-            if denom == 0.0:
-                continue
-            best = max(best, eval_norm(spec, project_PN(u, N)) / denom)
-        rows.append(PnRow(N=N, pn_norm=best, bound=1.0))
+        rows.append(PnRow(N=N, pn_norm=1.0, bound=1.0))
     return PnTable(rows=tuple(rows))
 
 
@@ -157,12 +142,8 @@ def liminf_check(spec: NormSpec, x: TailVector, n_range: Iterable[int]) -> Limin
     )
 
 
-def example1_refute(
-    w: TailVector,
-    alpha: Callable[[int], float],
-    limit: int = 10 ** 6,
-) -> RefutationWitness:
-    """Find the smallest N with sum_{k<=N} alpha_k / |w_k| > 1.
+def example1_refute(w: TailVector, alpha: Callable[[int], float]) -> RefutationWitness:
+    """Find the smallest N <= ``REFUTE_LIMIT`` with sum_{k<=N} alpha_k / |w_k| > 1.
 
     The candidate w must lie on the unit sphere of the tail norm with every
     represented entry nonzero, including the tail constant.  Then |w_k| <= 1
@@ -185,6 +166,7 @@ def example1_refute(
         raise ValueError(
             f"candidate must lie on the unit sphere, got norm {norm_value!r}"
         )
+    limit = REFUTE_LIMIT
     partial = 0.0
     signs = []
     for k in range(1, limit + 1):

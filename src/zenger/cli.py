@@ -1,11 +1,10 @@
 """Command line interface: solve, asymptotics, numrange.
 
 Problem files are JSON with top-level keys "norm", "alpha", and optional
-"tolerances" and "candidate_w" (the latter only for the tail norm).  Reports
-carry a machine-readable CSV section (17 significant digits, LF line
-endings) followed by a human section that states the result in market
-terms: the bundle w, the supporting prices phi, and the value of the bundle
-at those prices.
+"candidate_w" (only for the tail norm).  Reports carry a machine-readable
+CSV section (17 significant digits, LF line endings) followed by a human
+section that states the result in market terms: the bundle w, the
+supporting prices phi, and the value of the bundle at those prices.
 
 Exit codes: 0 pass, 1 certificate or containment failure, 2 parse or
 validation error, 3 non-convergence (including LP breakdowns and refuter
@@ -18,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .asymptotics import (
     pn_table,
     tail_projection_table,
 )
-from .core import TailVector, Tolerances, ZengerError
+from .core import TailVector, ZengerError
 from .norms import (
     Block,
     CompositeNorm,
@@ -58,9 +57,8 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_GENERATOR_BLOWUP = 4
 EXIT_MATRIX_SHAPE = 5
 
-_TOP_KEYS = {"norm", "alpha", "tolerances", "candidate_w"}
+_TOP_KEYS = {"norm", "alpha", "candidate_w"}
 _NORM_KEYS = {"type", "dimension", "blocks"}
-_TOL_KEYS = {"weight", "gap", "certificate"}
 _NORM_TYPES = ("sup", "composite", "example1_tail", "example2")
 
 
@@ -104,7 +102,6 @@ class ParsedProblem:
     spec: object
     alpha_list: np.ndarray | None
     alpha_ratio: float | None
-    tolerances: Tolerances
     candidate_w: TailVector | None
 
 
@@ -176,21 +173,6 @@ def _parse_alpha(value) -> tuple[np.ndarray | None, float | None]:
     raise ParseError('"alpha" must be a list of numbers or a rule object')
 
 
-def _parse_tolerances(obj) -> Tolerances:
-    if obj is None:
-        return Tolerances()
-    if not isinstance(obj, dict):
-        raise ParseError('"tolerances" must be an object')
-    _check_keys(obj, _TOL_KEYS, '"tolerances"')
-    overrides = {}
-    for key, value in obj.items():
-        value = _number(value, f'"tolerances.{key}"')
-        if value <= 0.0:
-            raise ParseError(f'"tolerances.{key}" must be positive')
-        overrides[key] = value
-    return replace(Tolerances(), **overrides)
-
-
 def _parse_candidate(obj) -> TailVector:
     if not isinstance(obj, dict):
         raise ParseError('"candidate_w" must be an object')
@@ -224,7 +206,6 @@ def _load_problem(path: str) -> ParsedProblem:
     alpha_list = alpha_ratio = None
     if "alpha" in doc:
         alpha_list, alpha_ratio = _parse_alpha(doc["alpha"])
-    tolerances = _parse_tolerances(doc.get("tolerances"))
     candidate_w = None
     if "candidate_w" in doc:
         if not isinstance(spec, Example1TailNorm):
@@ -234,7 +215,6 @@ def _load_problem(path: str) -> ParsedProblem:
         spec=spec,
         alpha_list=alpha_list,
         alpha_ratio=alpha_ratio,
-        tolerances=tolerances,
         candidate_w=candidate_w,
     )
 
@@ -269,13 +249,7 @@ def cmd_solve(args) -> tuple[int, str]:
         alpha = parsed.alpha_list
     else:
         alpha = geometric_alpha(parsed.alpha_ratio, n)
-    tolerances = parsed.tolerances
-    if args.tol is not None:
-        tol = _number(args.tol, "--tol")
-        if tol <= 0.0:
-            raise ParseError("--tol must be positive")
-        tolerances = replace(tolerances, certificate=tol)
-    problem = ZengerProblem(spec=spec, alpha=alpha, tol=tolerances)
+    problem = ZengerProblem(spec=spec, alpha=alpha)
     pair = solve_zenger(problem)
     cert = certify(pair, problem)
     verdict = "PASS" if cert.ok else "FAIL"
@@ -435,8 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute and certify a dual pair")
     solve.add_argument("problem", help="JSON problem file")
-    solve.add_argument("--tol", type=float, default=None,
-                       help="certificate tolerance (default 1e-6)")
     solve.add_argument("--csv-out", default=None, help="write the CSV section here")
 
     asym = sub.add_parser("asymptotics", help="projection norm tables and checks")

@@ -4,6 +4,7 @@ truncation projections.
 Vectors are plain 1-d numpy arrays of floats.  A :class:`TailVector` models a
 real sequence whose entries are eventually equal to a constant, which lets
 limit quantities (sup, limsup) be computed exactly instead of approximated.
+Weights must sum to one within the module constant ``WEIGHT_TOL``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+WEIGHT_TOL = 1e-10  # slack allowed in the sum-to-one check on weights
 
 
 class ZengerError(Exception):
@@ -35,22 +38,6 @@ class SumMismatch(ZengerError):
 
 class DimensionMismatch(ZengerError):
     """Vector shape does not match what an operation expects."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds used throughout the solve and certification path.
-
-    weight       : slack allowed in the sum-to-one check on weights
-    gap          : bound on the solver's gap, the multiplier bound on
-                   dual_norm(phi) minus 1; solve_zenger raises
-                   NonConvergence above ten times it
-    certificate  : bound every certificate residual must meet
-    """
-
-    weight: float = 1e-10
-    gap: float = 1e-9
-    certificate: float = 1e-6
 
 
 def as_vector(x) -> np.ndarray:
@@ -82,8 +69,9 @@ def as_stack(x) -> np.ndarray:
     return v
 
 
-def validate_weights(alpha, weight_tol: float = 1e-10) -> np.ndarray:
-    """Check that ``alpha`` is strictly positive and sums to one.
+def validate_weights(alpha) -> np.ndarray:
+    """Check that ``alpha`` is strictly positive and sums to one, up to
+    ``WEIGHT_TOL``.
 
     Returns the validated weights as an array.  Raises
     :class:`NonPositiveWeight` (with the 1-based index of the first offender)
@@ -96,7 +84,7 @@ def validate_weights(alpha, weight_tol: float = 1e-10) -> np.ndarray:
     if bad.size:
         raise NonPositiveWeight(int(bad[0]) + 1)
     total = float(np.sum(a))
-    if abs(total - 1.0) > weight_tol:
+    if abs(total - 1.0) > WEIGHT_TOL:
         raise SumMismatch(total)
     return a
 

@@ -33,12 +33,16 @@ B bounds ||z||_inf there: ||z||_inf <= ||z||_2 <= ||S z||_2 / sigma_min(S)
 norm(z) <= 1 for every j.  So dual_norm(phi) <= max_j ||eta_j||_1 / c_j +
 ||r||_1 B, with no LP; ``gap`` is that bound minus 1.  It is never
 negative, because dual_norm(phi) >= <phi, w> = sum(alpha) = 1 on the
-sphere (up to the rounding the weight tolerance allows in the sum).
+sphere (up to the rounding ``WEIGHT_TOL`` allows in the sum).
 
 The returned pair is rescaled to the unit sphere and the prices are the
 exact elementwise quotient phi_k = alpha_k / w_k.  ``certify`` checks it
 against a fresh simplex LP over the generators, so the solve never depends
 on the method that checks it.
+
+The thresholds are module constants, read on every call: the solve refuses
+a gap above ``10 * GAP_TOL`` and the certificate passes when every residual
+is at most ``CERTIFICATE_TOL``.
 """
 
 from __future__ import annotations
@@ -48,13 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    Tolerances,
-    ZengerError,
-    as_vector,
-    validate_weights,
-)
+from .core import DimensionMismatch, ZengerError, as_vector, validate_weights
 from .norms import (
     NormSpec,
     NotPolyhedral,
@@ -66,6 +64,8 @@ from .norms import (
 )
 
 NEWTON_BUDGET = 5000  # Newton steps one barrier solve may take
+GAP_TOL = 1e-9  # solve_zenger raises NonConvergence above 10 * GAP_TOL
+CERTIFICATE_TOL = 1e-6  # bound every certificate residual must meet
 
 
 class NonConvergence(ZengerError):
@@ -84,10 +84,9 @@ class ZengerProblem:
 
     spec: NormSpec
     alpha: np.ndarray
-    tol: Tolerances = Tolerances()
 
     def __post_init__(self):
-        a = validate_weights(self.alpha, self.tol.weight).copy()
+        a = validate_weights(self.alpha).copy()
         n = norm_dimension(self.spec)
         if n is None:
             raise NotPolyhedral("solving requires a finite-dimensional ball")
@@ -136,7 +135,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     Parameters
     ----------
     problem : ZengerProblem
-        Norm spec, weights and tolerances.
+        Norm spec and weights.
 
     Returns
     -------
@@ -148,7 +147,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     Raises
     ------
     NonConvergence
-        If the barrier solve ends with gap > 10 * tol.gap.
+        If the barrier solve ends with gap > 10 * GAP_TOL.
     """
     spec = problem.spec
     alpha = problem.alpha
@@ -185,7 +184,7 @@ def solve_zenger(problem: ZengerProblem) -> ZengerPair:
     per_block = np.add.reduceat(np.abs(eta), np.cumsum([0] + rows[:-1]))
     per_block /= coefs
     gap = float(np.max(per_block)) + residual * bound - 1.0
-    if not gap <= 10.0 * problem.tol.gap:
+    if not gap <= 10.0 * GAP_TOL:
         raise NonConvergence(gap)
 
     return ZengerPair(
@@ -296,10 +295,10 @@ def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:
     pairing_residual: |sum w_k phi_k - 1|
     factor_residual : max_k |w_k phi_k - alpha_k|
 
-    The verdict compares every residual against problem.tol.certificate.
+    The verdict compares every residual against ``CERTIFICATE_TOL``.
     """
     spec = problem.spec
-    tol = problem.tol
+    tol = CERTIFICATE_TOL
     w = as_vector(pair.w)
     phi = as_vector(pair.phi)
     alpha = problem.alpha
@@ -309,7 +308,7 @@ def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:
     pairing_residual = abs(float(w @ phi) - 1.0)
     factor_residual = float(np.max(np.abs(w * phi - alpha)))
     ok = all(
-        res <= tol.certificate
+        res <= tol
         for res in (norm_residual, dual_residual, pairing_residual, factor_residual)
     )
     return Certificate(
@@ -317,6 +316,6 @@ def certify(pair: ZengerPair, problem: ZengerProblem) -> Certificate:
         dual_residual=dual_residual,
         pairing_residual=pairing_residual,
         factor_residual=factor_residual,
-        tolerance=tol.certificate,
+        tolerance=tol,
         ok=ok,
     )

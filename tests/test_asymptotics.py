@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zenger.asymptotics
 from zenger import (
     CompositeNorm,
     Example1TailNorm,
@@ -15,6 +16,7 @@ from zenger import (
     geometric_rule,
     liminf_check,
     pn_table,
+    project_PN,
     tail_projection_table,
 )
 
@@ -93,10 +95,20 @@ def test_example2_family_dimension():
 
 def test_tail_projection_table_pins_the_ceiling():
     table = tail_projection_table(range(1, 8))
+    spec = Example1TailNorm()
+    e1 = TailVector(np.array([1.0]), 0.0)
+    probes = (e1, TailVector(np.array([]), 1.0),
+              TailVector(np.array([0.5, -0.5]), 0.5))
     for row in table.rows:
-        # the probe fixed by every truncation realizes the exact bound
+        # the closed form: truncation never raises the norm, and e_1, fixed
+        # by every truncation, realizes the bound
         assert row.pn_norm == 1.0
         assert row.bound == 1.0
+        ratios = [eval_norm(spec, project_PN(u, row.N)) / eval_norm(spec, u)
+                  for u in probes]
+        assert max(ratios) == ratios[0] == row.pn_norm
+    with pytest.raises(ValueError):
+        tail_projection_table([0])
 
 
 def test_liminf_fails_on_constant_sequence():
@@ -187,10 +199,14 @@ def test_refute_rejects_bad_candidates():
         )
 
 
-def test_refute_search_limit():
-    # alpha summing to 1/4 keeps every partial sum below 1
+def test_refute_search_limit(monkeypatch):
+    # alpha summing to 1/4 keeps every partial sum below 1; the index
+    # budget is the module constant REFUTE_LIMIT, read on every call
     def alpha(k):
         return 2.0 ** (-k - 2)
 
+    monkeypatch.setattr(zenger.asymptotics, "REFUTE_LIMIT", 1000)
     with pytest.raises(SearchLimitExceeded):
+        example1_refute(TailVector(np.array([]), 0.5), alpha)
+    with pytest.raises(TypeError):
         example1_refute(TailVector(np.array([]), 0.5), alpha, limit=1000)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zenger.solver
 from zenger.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -88,12 +89,19 @@ def test_module_entry_point_matches_main(tmp_path, capsys):
     assert proc.stdout == want.encode()
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["solve", None], 0),
-    (["solve", None, "--tol", "1e-18"], 1),
-    (["numrange", "grid"], 0),
+# runs main like ``python -m zenger`` does, with a certificate tolerance
+# no pair can meet
+FAILING_CERTIFICATE = ("import zenger.cli, zenger.solver; "
+                       "zenger.solver.CERTIFICATE_TOL = 1e-18; "
+                       "raise SystemExit(zenger.cli.main())")
+
+
+@pytest.mark.parametrize("runner, argv, code", [
+    (["-m", "zenger"], ["solve", None], 0),
+    (["-c", FAILING_CERTIFICATE], ["solve", None], 1),
+    (["-m", "zenger"], ["numrange", "grid"], 0),
 ], ids=["solve-pass", "solve-fail", "numrange-long-report"])
-def test_closed_pipe_keeps_the_exit_code(tmp_path, argv, code):
+def test_closed_pipe_keeps_the_exit_code(tmp_path, runner, argv, code):
     # the reader is gone before the report is written (`zenger ... | head`):
     # no traceback, and the exit code is the subcommand's own; the 256-row
     # numrange report is longer than the stdout buffer
@@ -107,7 +115,7 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path, argv, code):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "zenger"] + argv,
+        proc = subprocess.run([sys.executable] + runner + argv,
                               env=module_env(), cwd=tmp_path,
                               stdout=write_end, stderr=subprocess.PIPE,
                               check=False)
@@ -117,14 +125,17 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path, argv, code):
     assert proc.returncode == code
 
 
-def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys,
+                                                    monkeypatch):
     # the parser is built once per process; one call's options must not
-    # reach the next
+    # reach the next, and the certificate tolerance is read on every call
     path = write_problem(tmp_path, {
         "norm": {"type": "example2", "dimension": 12},
         "alpha": {"rule": "geometric", "ratio": 0.25},
     })
-    assert main(["solve", path, "--tol", "1e-18"]) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(zenger.solver, "CERTIFICATE_TOL", 1e-18)
+        assert main(["solve", path]) == 1
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out
     assert "certificate FAIL (tolerance 1e-18)" in out
@@ -145,30 +156,33 @@ def test_solve_cascade_geometric_rule(tmp_path, capsys):
     assert "certificate PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [["--max-iter", "3"], ["--no-renormalize"]],
-                         ids=["max-iter", "no-renormalize"])
+@pytest.mark.parametrize("flags", [["--max-iter", "3"], ["--no-renormalize"],
+                                   ["--tol", "1e-18"]],
+                         ids=["max-iter", "no-renormalize", "tol"])
 def test_solve_removed_flags_exit_2(tmp_path, capsys, flags):
-    # the Newton budget is fixed and geometric weights are always
-    # renormalized, so argparse refuses both flags
+    # the Newton budget and the certificate tolerance are module constants
+    # and geometric weights are always renormalized, so argparse refuses
+    # all three flags
     with pytest.raises(SystemExit) as exc:
         main(["solve", sup3(tmp_path)] + flags)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
-def test_solve_unreachable_certificate_tolerance(tmp_path, capsys):
+def test_solve_unreachable_certificate_tolerance(tmp_path, capsys,
+                                                 monkeypatch):
     path = write_problem(tmp_path, {
         "norm": {"type": "example2", "dimension": 12},
         "alpha": {"rule": "geometric", "ratio": 0.25},
     })
-    assert main(["solve", path, "--tol", "1e-18"]) == 1
+    monkeypatch.setattr(zenger.solver, "CERTIFICATE_TOL", 1e-18)
+    assert main(["solve", path]) == 1
     assert "certificate FAIL" in capsys.readouterr().out
 
 
-def test_solve_unreachable_gap_tolerance(tmp_path, capsys):
-    doc = random_composite_doc(0, 4)
-    doc["tolerances"] = {"gap": 1e-300}
-    path = write_problem(tmp_path, doc)
+def test_solve_unreachable_gap_tolerance(tmp_path, capsys, monkeypatch):
+    path = write_problem(tmp_path, random_composite_doc(0, 4))
+    monkeypatch.setattr(zenger.solver, "GAP_TOL", 1e-300)
     assert main(["solve", path]) == 3
     assert "error:" in capsys.readouterr().err
 
@@ -217,9 +231,6 @@ PARSE_FAILURES = [
     ("composite-without-blocks",
      {"norm": {"type": "composite", "dimension": 2}, "alpha": [0.5, 0.5]},
      'composite norm requires a nonempty "blocks" list'),
-    ("bad-tolerance", {"norm": SUP3, "alpha": ALPHA3,
-                       "tolerances": {"gap": -1.0}},
-     '"tolerances.gap" must be positive'),
     ("tail-with-dimension",
      {"norm": {"type": "example1_tail", "dimension": 3}, "alpha": [1.0]},
      "example1_tail takes neither dimension nor blocks"),
@@ -228,9 +239,6 @@ PARSE_FAILURES = [
      "solve needs a finite-dimensional norm"),
     ("alpha-length-mismatch", {"norm": SUP3, "alpha": [0.5, 0.5]},
      "2 weights against a dimension-3 norm"),
-    ("line-search-tolerance", {"norm": SUP3, "alpha": ALPHA3,
-                               "tolerances": {"line_search": 1e-12}},
-     'unknown key(s) in "tolerances": line_search'),
     ("non-number", composite2({"coef": "1", "matrix": [[1.0, 0.0]]}),
      '"norm.blocks[0]".coef must be a number'),
     ("non-finite", {"norm": SUP3, "alpha": [0.2, 0.3, float("nan")]},
@@ -263,9 +271,9 @@ PARSE_FAILURES = [
      '"alpha.ratio" must lie strictly between 0 and 1'),
     ("alpha-neither", {"norm": SUP3, "alpha": "uniform"},
      '"alpha" must be a list of numbers or a rule object'),
-    ("tolerances-not-object", {"norm": SUP3, "alpha": ALPHA3,
-                               "tolerances": [1e-6]},
-     '"tolerances" must be an object'),
+    ("tolerances-key", {"norm": SUP3, "alpha": ALPHA3,
+                        "tolerances": {"certificate": 1e-6}},
+     "unknown key(s) in problem file: tolerances"),
     ("top-level-not-object", [SUP3, ALPHA3],
      "problem file must be a JSON object"),
     ("missing-norm", {"alpha": ALPHA3}, 'problem file is missing "norm"'),
@@ -280,13 +288,6 @@ PARSE_FAILURES = [
 def test_solve_parse_failures(tmp_path, capsys, doc, message):
     assert main(["solve", write_problem(tmp_path, doc)]) == 2
     assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
-def test_solve_rejects_a_bad_tol(tmp_path, capsys, tol):
-    # a non-finite --tol is refused like a non-finite "tolerances.certificate"
-    assert main(["solve", sup3(tmp_path), "--tol", tol]) == 2
-    assert "error: --tol must be" in capsys.readouterr().err
 
 
 def test_solve_missing_alpha_names_the_key(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import zenger.core
+import zenger.solver
 from zenger import (
     DimensionMismatch,
     NonPositiveWeight,
     SumMismatch,
     TailVector,
-    Tolerances,
     as_vector,
     geometric_alpha,
     project_PN,
@@ -15,10 +16,25 @@ from zenger import (
 
 
 def test_default_tolerances():
-    tol = Tolerances()
-    assert tol.weight == 1e-10
-    assert tol.gap == 1e-9
-    assert tol.certificate == 1e-6
+    # the thresholds are module constants next to their one user, not
+    # settings: no Tolerances record and no weight_tol keyword
+    assert zenger.core.WEIGHT_TOL == 1e-10
+    assert zenger.solver.GAP_TOL == 1e-9
+    assert zenger.solver.CERTIFICATE_TOL == 1e-6
+    assert not hasattr(zenger, "Tolerances")
+    assert "Tolerances" not in zenger.__all__
+    assert not hasattr(zenger.core, "Tolerances")
+    with pytest.raises(TypeError):
+        validate_weights((0.5, 0.5), weight_tol=1e-10)
+
+
+def test_weight_tolerance_is_read_on_every_call(monkeypatch):
+    # a sum 1e-12 off passes at WEIGHT_TOL and fails once it is tighter
+    alpha = (0.5, 0.5 + 1e-12)
+    validate_weights(alpha)
+    monkeypatch.setattr(zenger.core, "WEIGHT_TOL", 1e-14)
+    with pytest.raises(SumMismatch):
+        validate_weights(alpha)
 
 
 def test_as_vector_rejects_bad_shapes():
