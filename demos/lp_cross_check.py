@@ -4,9 +4,11 @@ The simplex core, cross-checked by vertex enumeration
 
 Every dual-norm evaluation in the package bottoms out in a small linear
 program over free variables: maximize <c, x> subject to A x <= b.  The
-simplex implementation uses Bland's rule, so it cannot cycle; this script
-solves a batch of random LPs and confirms each optimum against brute-force
-enumeration of basic feasible points, the test oracle in tests/oracle.py.
+simplex in ``zenger.lp`` is the engine of ``dual_norm_lmo``.  It uses
+Bland's rule, so it cannot cycle, and it takes float arrays as they are,
+with b >= 0 so the origin is feasible.  This script solves a batch of
+random LPs and confirms each optimum against brute-force enumeration of
+basic feasible points, the test oracle in tests/oracle.py.
 """
 
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zenger import LinearProgram, solve_lp
+from zenger.lp import LinearProgram, solve_lp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracle import brute_force_vertices  # noqa: E402
@@ -41,7 +43,7 @@ print("200 random LPs solved")
 print("worst |simplex - enumeration| =", worst)
 
 # an unbounded instance is reported, not raised
-ray = LinearProgram(objective=[1.0, 0.0],
-                    lhs=[[0.0, 1.0], [0.0, -1.0]],
-                    rhs=[1.0, 1.0])
+ray = LinearProgram(objective=np.array([1.0, 0.0]),
+                    lhs=np.array([[0.0, 1.0], [0.0, -1.0]]),
+                    rhs=np.array([1.0, 1.0]))
 print("unbounded instance status =", solve_lp(ray).status)

@@ -19,16 +19,6 @@ from .core import (
     project_PN,
     validate_weights,
 )
-from .lp import (
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LPError,
-    LPResult,
-    MaxPivotsExceeded,
-    NumericalBreakdown,
-    solve_lp,
-)
 from .norms import (
     Block,
     CompositeNorm,
@@ -91,18 +81,12 @@ __all__ = [
     "Example2Norm",
     "GeneratorBlowup",
     "HullCheck",
-    "LPError",
     "LPFailure",
-    "LPResult",
     "LiminfReport",
-    "LinearProgram",
-    "MaxPivotsExceeded",
     "NonConvergence",
     "NonPositiveWeight",
     "NotPolyhedral",
     "NotTriangular",
-    "NumericalBreakdown",
-    "OPTIMAL",
     "PnRow",
     "PnTable",
     "RefutationWitness",
@@ -111,7 +95,6 @@ __all__ = [
     "SupNorm",
     "SupportCurve",
     "TailVector",
-    "UNBOUNDED",
     "ZengerError",
     "ZengerPair",
     "ZengerProblem",
@@ -132,7 +115,6 @@ __all__ = [
     "pn_table",
     "project_PN",
     "projection_norm",
-    "solve_lp",
     "solve_zenger",
     "spectrum_hull_check",
     "support_curve",

@@ -67,15 +67,16 @@ def as_complex_matrix(entries) -> np.ndarray:
 def _jacobi_batch(Hs: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a batch of Hermitian matrices.
 
+    The batch must be Hermitian in floating point, as the stack of
+    :func:`support_curve` is: cos(theta) Hr + sin(theta) Hi of two exactly
+    Hermitian parts.
+
     One cyclic sweep applies the pivots (p, q) in a fixed order to every
     matrix in the batch at once, each with its own rotation angle; matrices
     whose pivot entry is already negligible get the identity rotation.
     """
     H = Hs.astype(complex, copy=True)
-    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
-    m, n = H.shape[0], H.shape[1]
-    if n == 1:
-        return H[:, 0, 0].real.reshape(m, 1)
+    n = H.shape[1]
     off_mask = ~np.eye(n, dtype=bool)
     for _ in range(_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.abs(H[:, off_mask]) ** 2, axis=1))

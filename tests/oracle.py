@@ -18,8 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from zenger import LPError, ZengerPair, dual_norm_lmo, eval_norm, log_utility
-from zenger.lp import ACTIVE_EPS
+from zenger import ZengerPair, dual_norm_lmo, eval_norm, log_utility
+from zenger.lp import ACTIVE_EPS, LPError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -5,23 +5,27 @@ import pytest
 
 import zenger.lp
 from zenger import (
-    OPTIMAL,
-    UNBOUNDED,
     CompositeNorm,
-    DimensionMismatch,
     Example2Norm,
+    SupNorm,
+    dual_norm_lmo,
+    example2_family,
+    generators,
+)
+from zenger.lp import (
+    COST_EPS,
+    OPTIMAL,
+    PIVOT_EPS,
+    STACK_BYTES,
+    UNBOUNDED,
     LinearProgram,
     LPError,
     LPResult,
     MaxPivotsExceeded,
     NumericalBreakdown,
-    SupNorm,
-    dual_norm_lmo,
-    example2_family,
-    generators,
+    default_pivot_cap,
     solve_lp,
 )
-from zenger.lp import COST_EPS, PIVOT_EPS, STACK_BYTES, default_pivot_cap
 from zenger.norms import _canonical_rows
 
 from oracle import TooLarge, brute_force_vertices
@@ -50,18 +54,6 @@ def test_box_maximum():
     assert result.status == OPTIMAL
     assert result.value == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(result.point, [1.0, 1.0], atol=1e-12)
-
-
-def test_infeasible_bounds():
-    # a negative rhs cuts the origin off, so the program is refused before
-    # any pivot; so are seeded LPs 113 and 489, which are unbounded
-    with pytest.raises(ValueError, match=r"rhs\[0\] = -1.0 is negative"):
-        LinearProgram(np.array([1.0]), np.array([[1.0], [-1.0]]),
-                      np.array([-1.0, -2.0]))
-    draws = mixed_draws()
-    for i in (113, 489):
-        with pytest.raises(ValueError, match="the origin must be feasible"):
-            LinearProgram(*draws[i])
 
 
 def test_unbounded_ray():
@@ -152,35 +144,37 @@ def test_simplex_matches_vertex_enumeration():
 
 
 def test_program_validation():
-    with pytest.raises(ValueError):
-        LinearProgram(np.ones(2), np.ones((3, 3)), np.ones(3))
-    with pytest.raises(ValueError):
-        LinearProgram(np.ones(1), np.array([[np.inf]]), np.ones(1))
-    # a stack of objectives must have one column per variable, equal rows
-    # and finite entries
-    with pytest.raises(ValueError, match="does not match"):
-        LinearProgram(np.ones((2, 3)), np.ones((3, 2)), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        LinearProgram([[1.0, 2.0], [3.0]], np.ones((3, 2)), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        LinearProgram(np.ones((2, 2, 2)), np.ones((3, 2)), np.ones(3))
-    with pytest.raises(ValueError, match="finite"):
-        LinearProgram([[1.0, np.nan]], np.ones((3, 2)), np.ones(3))
+    # dual_norm_lmo checks the constraint array of its LP once, whether a
+    # caller passes it as gens= or it is the norm's expansion: one column
+    # per variable and finite entries
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match "
+                                         r"3 rows and 2 variables"):
+        dual_norm_lmo(SupNorm(2), np.ones(2), gens=np.ones((3, 3)))
+    for gens in (np.ones(2), np.float64(1.0)):
+        with pytest.raises(ValueError, match="does not match"):
+            dual_norm_lmo(SupNorm(2), np.ones(2), gens=gens)
+    with pytest.raises(ValueError, match="constraint entries must be finite"):
+        dual_norm_lmo(SupNorm(1), np.ones(1), gens=np.array([[np.inf]]))
+    # a coefficient times a block entry overflows, so the expansion holds
+    # inf rows
+    spec = CompositeNorm(((1e300, np.diag([1e10, 1.0])),))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="constraint entries must be finite"):
+            dual_norm_lmo(spec, np.ones(2))
 
 
 def test_program_leaves_the_callers_arrays_writeable():
-    # the program freezes copies of its objective, lhs and rhs, never the
-    # arrays it is given
+    # the program holds the arrays it is given, unchecked and uncopied, and
+    # dual_norm_lmo freezes none of its caller's arrays
     c, A, b = np.array([1.0, 1.0]), np.eye(2), np.ones(2)
     lp = LinearProgram(c, A, b)
+    assert lp.objective is c and lp.lhs is A and lp.rhs is b
     assert solve_lp(lp).value == 2.0
-    for given, kept in ((c, lp.objective), (A, lp.lhs), (b, lp.rhs)):
-        assert given.flags.writeable
-        assert not kept.flags.writeable
-        assert not np.shares_memory(given, kept)
     g = np.array([0.5, -2.0])
+    U = np.vstack([np.eye(2), -np.eye(2)])
     assert dual_norm_lmo(SupNorm(2), g).value == 2.5
-    assert g.flags.writeable
+    assert dual_norm_lmo(SupNorm(2), g, gens=U).value == 2.5
+    assert all(given.flags.writeable for given in (c, A, b, g, U))
 
 
 def test_memory_scales_with_the_nonbasic_columns():
@@ -281,7 +275,8 @@ def random_mixed_lp(rng):
     # (objective, lhs, rhs) of small LPs of every outcome: rounded entries
     # make ties and degenerate vertices, unit objectives make optimal faces,
     # and nothing keeps the region bounded; a negative rhs cuts the origin
-    # off, and such a program is refused
+    # off, and solve_lp requires the origin to be feasible, so the tests
+    # that solve these draws leave such programs out
     n = int(rng.integers(1, 6))
     m = int(rng.integers(1, 31))
     A = rng.normal(size=(m, n))
@@ -304,13 +299,8 @@ def mixed_draws():
 
 
 def test_pivot_path_matches_full_tableau_update():
-    lps = []
-    for c, A, b in mixed_draws():
-        if np.any(b < 0):
-            with pytest.raises(ValueError, match="the origin must be feasible"):
-                LinearProgram(c, A, b)
-        else:
-            lps.append(LinearProgram(c, A, b))
+    lps = [LinearProgram(c, A, b) for c, A, b in mixed_draws()
+           if np.all(b >= 0)]
     # the dual-norm LPs of the ||P_N|| table: projected generator rows of
     # Example2Norm(4) as objectives over its generator set
     U = generators(Example2Norm(4))

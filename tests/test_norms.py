@@ -420,6 +420,163 @@ def test_projection_norm_cascade_is_exact(N):
     assert projection_norm(example2_family(N), N) == 1.0 + 2.0 ** -N
 
 
+# ROADMAP item 2, case 8: norms whose block columns are scaled by
+# 10^U(-3, 3).  Of the recipe's 1500 dual-norm LPs the simplex returns 44
+# values more than 1e-7 relative below HiGHS, 37 of them more than 1e-3
+# below; these are three of the 37, the worst first.  Each entry holds the
+# blocks as (coef, rows), the functional g and HiGHS's optimum of
+# max <g, x> over the unit ball, so the pins need no scipy.
+_CASE_8 = [
+    (  # trial 128: the simplex reads 0.001286
+        [
+            (1.2486215896194053, [
+                [-0.1986934734778405, 0.0006674697858680931,
+                 6.624521403197113, 4.989546715507316, -1.2932994896221501],
+                [-0.02659514454313288, 0.0011054374199996973,
+                 3.983811726308989, -3.9208649398763438, 0.3311423314848948],
+                [0.07457713093762396, 0.0017565268307138098,
+                 5.079739093768408, 1.693316983169085, 0.6817811598589918],
+                [-0.1372525612538494, -0.0010504576628587964,
+                 0.8261067463779659, -9.923932840553661, -1.0045648637220537],
+                [-0.03752832957255024, 0.001265890636808925,
+                 -1.8039746874145328, 13.28794055237532, 0.6459138392260674],
+                [-0.19529064539989838, -0.0006853525048416048,
+                 -0.3724244762536958, -11.652220426228784,
+                 0.16806039462975797],
+                [-0.060833840452302584, -0.0014943420627032222,
+                 1.8196513773745522, -6.604228571335155, 0.35423870485664544],
+                [0.12973419233188804, -0.0006499919713630675,
+                 -5.409663655691061, 2.8176358347439563, 1.6511925689758287],
+            ]),
+            (1.8198413138154625, [
+                [0.23241643125940317, 9.302168920744977, 3.347228501198726,
+                 -1726.3539727670236, 333.03449912985997],
+                [0.14679977000461228, -8.199507395187625, 2.9625423442021686,
+                 907.0933714049632, -191.6647137827183],
+                [0.1945319424899062, -61.17665884743809, 5.034535508543693,
+                 -169.72082913978315, -398.6958915363338],
+                [-0.4132409962003257, -20.63301547960767, -10.169802237331288,
+                 1211.2521601021672, 108.38044608241442],
+                [-0.45827032343890256, -35.20490125277938, 2.904373399232987,
+                 1732.7600264344778, 262.52480543521966],
+                [-0.04833630140052931, 40.94267107319149,
+                 -0.45666670410181703, -373.761758070517, -290.9685554386703],
+                [0.08273463719670654, -18.91187812600758, 4.9977467914621165,
+                 703.5457399277983, 229.2945834604477],
+                [0.3599438596145172, -16.344352009469755, -5.114105926016619,
+                 -1167.8933953806222, -449.7898597393605],
+            ]),
+            (0.22838958914739002, [
+                [-0.9625516559633402, -0.0008832527449290851,
+                 -1.5006786771427068, 26.10539616462383, -1.2271023601533182],
+                [-3.94439657155291, -0.0019898081254292924,
+                 0.2679774009165667, -20.881840446260114, -1.9246900733744448],
+                [5.561337354684043, 0.0008664580628157157, 0.6571817294607851,
+                 63.13020291196921, -0.8611435777971637],
+                [-0.9055996507398647, -0.00749639334147182,
+                 -0.3609688104937641, 223.55226429011475, -3.3124871260835484],
+                [0.588996551784972, 0.004061874632441253, -1.4221400881868478,
+                 125.95508755318266, -0.292297752147973],
+                [-1.6648530077273846, -0.003218102227648331,
+                 -0.22142545318908152, -138.2668616837204,
+                 -0.4071774762914612],
+                [-1.04375393528178, 0.002746807163893958, -0.5470897086557606,
+                 -67.28099210600477, -2.3994487997144787],
+                [2.7129086250102925, 0.006343731944326767, 2.6645653294946507,
+                 52.56446755299669, 0.27571489319148884],
+            ]),
+        ],
+        [-0.22932698856842784, 0.13059376937702555, 0.07058841252590731,
+         -1.7077497863371933, -0.24709706594913766],
+        0.11995361986642086,
+    ),
+    (  # trial 147: the simplex reads 0.1637
+        [
+            (0.38324054913375527, [
+                [-0.11671289999966009, -0.019419929012696718,
+                 0.004232077394610096, 117.49440357919772],
+                [0.03300530684955934, -0.24543983870830396,
+                 -0.006270608826539711, 33.72422930030227],
+                [-0.05215718660029848, -0.04784958725290758,
+                 0.000882737328900446, 81.42046266558151],
+                [-0.039000963967460354, 0.08043581348193404,
+                 -0.004921134158761883, 15.07152200333012],
+                [0.022120517723599274, -0.012622129352167643,
+                 0.0012970931487362026, -70.14068357093097],
+            ]),
+            (0.82740411786366, [
+                [-0.04958844562011593, -681.9350730267857, 0.7455758302711866,
+                 94.79632384511571],
+                [0.08282225329586061, 495.9010695188833, -0.30518520768175333,
+                 -79.89643768731842],
+                [-0.019574240099063743, 523.1703218005023,
+                 -0.4274888927194189, -349.04361568489827],
+                [0.10372229138708454, -56.692993375873726, 0.2438760639655672,
+                 152.57238352400975],
+            ]),
+            (0.8704042701485775, [
+                [7.695990299358314, -969.1790861121855, 0.015092996363933507,
+                 -69.38674867415237],
+                [16.473912587509336, -929.6506013304859,
+                 0.0005924862631099124, -150.06634042519792],
+                [255.53368320727313, -745.9902422052676, 0.006947321518040086,
+                 42.29220843994252],
+                [-20.542162779050763, -68.06575373544513,
+                 0.005557780968689433, 69.13032831423781],
+                [193.30025887485078, 468.60541895830795,
+                 -0.014695144206624525, -2.239038848146001],
+                [110.82816566808411, -506.79213432304, -0.011207475872898939,
+                 50.936679695889325],
+            ]),
+        ],
+        [0.708507537991607, -1.3819346383628381, -0.132931505650562,
+         -1.889586503078186],
+        0.23291706473896714,
+    ),
+    (  # trial 53: the simplex reads 4.692
+        [
+            (0.676936807996237, [
+                [818.6122959821494, -626.6767112642568, -0.06621689314298479,
+                 0.04374700600531942],
+                [-52.39984473980133, 904.0388144346912, -0.06528948594966769,
+                 0.04254557465109577],
+                [242.082112662519, -603.5319781553894, 0.022776194295981027,
+                 0.08958724502384165],
+                [645.2181272823976, 164.77832158518515, -0.013723881375768021,
+                 -0.04843280079998217],
+                [-847.70308321337, -161.51237225236372, 0.050712866252377205,
+                 -0.003086221312060871],
+            ]),
+            (1.10831612425642, [
+                [0.10560623086425928, 0.6529476114310033,
+                 -0.04272738105108167, 0.14665655266948757],
+                [0.3564955271785996, 0.9377683380797402, -0.07400915245400748,
+                 -0.2732408074452166],
+                [-0.035132389390260935, 1.442502832825087,
+                 -0.03866659977500348, -0.06471672368457733],
+                [-0.052932407394820254, 6.361710534199762,
+                 -0.0747112170521963, -0.07068017386906528],
+            ]),
+        ],
+        [1.5417456018401452, -0.9829848282723361, -0.28778510775942545,
+         0.9838565011376766],
+        4.794226336454687,
+    ),
+]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2, case 8: the simplex returns a wrong value")
+@pytest.mark.parametrize("blocks, g, highs", _CASE_8,
+                         ids=["trial128", "trial147", "trial53"])
+def test_case_8_dual_norm_matches_highs(blocks, g, highs):
+    # the value comes back, well below the optimum; the strict mark turns
+    # the pin into a failure once the LP returns the right value or refuses
+    value = dual_norm_lmo(CompositeNorm(tuple(blocks)), np.array(g)).value
+    assert abs(value - highs) <= 1e-7 * highs
+
+
 def test_projection_norm_rejects_bad_N():
     with pytest.raises(ValueError):
         projection_norm(SupNorm(2), 0)

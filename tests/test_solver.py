@@ -661,6 +661,20 @@ def test_oracle_is_not_exported():
         assert not hasattr(module, name), name
 
 
+def test_lp_names_are_not_exported():
+    # the simplex is dual_norm_lmo's engine: its names live in zenger.lp
+    # only, and LPFailure is the public error of a failed dual-norm LP
+    internal = ["LinearProgram", "LPResult", "solve_lp", "OPTIMAL",
+                "UNBOUNDED", "LPError", "MaxPivotsExceeded",
+                "NumericalBreakdown"]
+    for name in internal:
+        assert name not in zenger.__all__, name
+        assert not hasattr(zenger, name), name
+        assert hasattr(zenger.lp, name), name
+    assert "LPFailure" in zenger.__all__
+    assert len(zenger.__all__) == 48
+
+
 def test_solver_agrees_with_grid_oracle():
     rng = np.random.default_rng(47)
     for _ in range(8):
