@@ -121,14 +121,10 @@ def _parse_norm(obj) -> object:
     dimension = obj["dimension"]
     if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
         raise ParseError('"norm.dimension" must be a positive integer')
-    if kind == "sup":
+    if kind in ("sup", "example2"):
         if "blocks" in obj:
-            raise ParseError("sup norm takes no blocks")
-        return SupNorm(dimension)
-    if kind == "example2":
-        if "blocks" in obj:
-            raise ParseError("example2 norm takes no blocks")
-        return Example2Norm(dimension)
+            raise ParseError(f"{kind} norm takes no blocks")
+        return (SupNorm if kind == "sup" else Example2Norm)(dimension)
     blocks_doc = obj.get("blocks")
     if not isinstance(blocks_doc, list) or not blocks_doc:
         raise ParseError('composite norm requires a nonempty "blocks" list')
@@ -187,14 +183,17 @@ def _parse_candidate(obj) -> TailVector:
     return TailVector(np.array(entries), tail)
 
 
-def _load_problem(path: str) -> ParsedProblem:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_problem(path: str) -> ParsedProblem:
     try:
-        doc = json.loads(text)
+        doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -220,11 +219,8 @@ def _load_problem(path: str) -> ParsedProblem:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise ParseError('--n-range must look like "1..12"')
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(int, text.split(".."))
     except ValueError as exc:
         raise ParseError('--n-range must look like "1..12"') from exc
     if lo < 1 or hi < lo:
@@ -232,12 +228,7 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _write_csv(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def cmd_solve(args) -> tuple[int, str]:
+def cmd_solve(args) -> tuple[int, list[str], list[str]]:
     parsed = _load_problem(args.problem)
     spec = parsed.spec
     if isinstance(spec, Example1TailNorm):
@@ -283,22 +274,18 @@ def cmd_solve(args) -> tuple[int, str]:
         ),
         f"certificate {verdict} (tolerance {_fmt_h(cert.tolerance)})",
     ]
-    if args.csv_out:
-        _write_csv(args.csv_out, csv_lines)
-    report = "\n".join(csv_lines) + "\n\n" + "\n".join(human)
-    return (EXIT_OK if cert.ok else EXIT_FAIL), report
+    return (EXIT_OK if cert.ok else EXIT_FAIL), csv_lines, human
 
 
 def _tail_vector_str(x: TailVector) -> str:
-    head = ", ".join(_fmt_h(v) for v in x.head)
-    return f"head=({head}), tail={_fmt_h(x.tail)}"
+    return f"head={_vector_str(x.head)}, tail={_fmt_h(x.tail)}"
 
 
-def cmd_asymptotics(args) -> tuple[int, str]:
+def cmd_asymptotics(args) -> tuple[int, list[str], list[str]]:
     parsed = _load_problem(args.problem)
     spec = parsed.spec
     ns = _parse_n_range(args.n_range)
-    extra: list[str] = []
+    human: list[str] = []
     if isinstance(spec, Example1TailNorm):
         table = tail_projection_table(ns)
         if parsed.alpha_list is not None:
@@ -316,7 +303,7 @@ def cmd_asymptotics(args) -> tuple[int, str]:
             witness = example1_refute(candidate, geometric_rule(ratio))
         except ValueError as exc:
             raise ParseError(f"candidate_w rejected: {exc}") from exc
-        extra = [
+        human = [
             "liminf check on e: norm_value = {0}, limit_estimate = {1},"
             " consistent = {2}".format(
                 _fmt_h(report.norm_value),
@@ -337,20 +324,11 @@ def cmd_asymptotics(args) -> tuple[int, str]:
     for row in table.rows:
         bound = _fmt(row.bound) if row.bound is not None else ""
         csv_lines.append(f"{row.N},{_fmt(row.pn_norm)},{bound}")
-    text = "\n".join(csv_lines)
-    if extra:
-        text += "\n\n" + "\n".join(extra)
-    if args.csv_out:
-        _write_csv(args.csv_out, csv_lines)
-    return EXIT_OK, text
+    return EXIT_OK, csv_lines, human
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh.read().splitlines()]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = [line.strip() for line in _read(path).splitlines()]
     lines = [line for line in lines if line]
     if not lines:
         raise ParseError("matrix file is empty")
@@ -380,7 +358,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return out
 
 
-def cmd_numrange(args) -> tuple[int, str]:
+def cmd_numrange(args) -> tuple[int, list[str], list[str]]:
     A = _load_matrix(args.matrix)
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")
@@ -394,10 +372,7 @@ def cmd_numrange(args) -> tuple[int, str]:
         f"worst margin = {_fmt_h(check.worst_margin)}",
         f"spectrum hull inside numerical range: {verdict}",
     ]
-    if args.csv_out:
-        _write_csv(args.csv_out, csv_lines)
-    report = "\n".join(csv_lines) + "\n\n" + "\n".join(human)
-    return (EXIT_OK if check.ok else EXIT_FAIL), report
+    return (EXIT_OK if check.ok else EXIT_FAIL), csv_lines, human
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,17 +385,20 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute and certify a dual pair")
     solve.add_argument("problem", help="JSON problem file")
     solve.add_argument("--csv-out", default=None, help="write the CSV section here")
+    solve.set_defaults(handler=cmd_solve)
 
     asym = sub.add_parser("asymptotics", help="projection norm tables and checks")
     asym.add_argument("problem", help="JSON problem file")
     asym.add_argument("--n-range", default="1..12", help='truncations, e.g. "1..12"')
     asym.add_argument("--csv-out", default=None, help="write the CSV table here")
+    asym.set_defaults(handler=cmd_asymptotics)
 
     numr = sub.add_parser("numrange", help="numerical range support sweep")
     numr.add_argument("matrix", help="matrix file: dimension line, then rows")
     numr.add_argument("--grid", type=int, default=DEFAULT_GRID,
                       help="angle count")
     numr.add_argument("--csv-out", default=None, help="write the curve CSV here")
+    numr.set_defaults(handler=cmd_numrange)
     return parser
 
 
@@ -429,32 +407,33 @@ def _build_parser() -> argparse.ArgumentParser:
 PARSER = _build_parser()
 
 
+# the exit code of an error a command raises: the first entry that matches
+# wins, and an error that matches none propagates
+_ERROR_CODES = (
+    ((MatrixShapeError, NotTriangular), EXIT_MATRIX_SHAPE),
+    (GeneratorBlowup, EXIT_GENERATOR_BLOWUP),
+    ((NonConvergence, LPFailure, SearchLimitExceeded), EXIT_NO_CONVERGENCE),
+    ((ParseError, ZengerError, ValueError), EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-    handler = {
-        "solve": cmd_solve,
-        "asymptotics": cmd_asymptotics,
-        "numrange": cmd_numrange,
-    }[args.command]
     try:
-        code, report = handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MatrixShapeError, NotTriangular) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATRIX_SHAPE
-    except GeneratorBlowup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERATOR_BLOWUP
-    except (NonConvergence, LPFailure, SearchLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ZengerError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, csv_lines, human = args.handler(args)
+        if args.csv_out:
+            with open(args.csv_out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(csv_lines) + "\n")
+    except Exception as exc:
+        for errors, exit_code in _ERROR_CODES:
+            if isinstance(exc, errors):
+                print(f"error: {exc}", file=sys.stderr)
+                return exit_code
+        raise
+    # the report is the CSV section, then a blank line and the human
+    # section when the command has one
     try:
-        print(report)
+        print("\n".join(csv_lines + [""] + human if human else csv_lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early (`zenger ... | head`); what is

@@ -66,8 +66,13 @@ class Block:
         M = np.array(self.matrix, dtype=float)
         if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
             raise ValueError(f"block matrix must be 2-d, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
+        # the largest magnitude is nan or inf exactly when some entry is,
+        # and coef times it overflows exactly when coef times some entry does
+        peak = float(np.abs(M).max())
+        if not math.isfinite(peak):
             raise ValueError("block entries must be finite")
+        if not math.isfinite(float(self.coef) * peak):
+            raise ValueError("block coefficient times an entry overflows")
         M.setflags(write=False)
         object.__setattr__(self, "coef", float(self.coef))
         object.__setattr__(self, "matrix", M)

@@ -211,6 +211,7 @@ def test_solve_generator_blowup(tmp_path, capsys):
 
 SUP3 = {"type": "sup", "dimension": 3}
 ALPHA3 = [0.2, 0.3, 0.5]
+TAIL = {"type": "example1_tail"}
 
 
 def composite2(*blocks):
@@ -218,14 +219,30 @@ def composite2(*blocks):
             "alpha": [0.5, 0.5]}
 
 
-# (id, problem document, a fragment of the error message that names the
-# branch of the parser that refuses it)
+class Prefix(str):
+    """An error message whose tail is the operating system's own text, so
+    only its start is pinned."""
+
+
+def assert_error_line(err, message):
+    # a refusal prints exactly one line, "error: " and the message
+    if isinstance(message, Prefix):
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    else:
+        assert err == f"error: {message}\n"
+
+
+# the problem file is not written, so reading it fails
+UNREADABLE = object()
+
+# (id, problem document, the message of the error line that names the branch
+# of the parser that refuses it)
 PARSE_FAILURES = [
-    ("missing-alpha", {"norm": SUP3}, 'missing "alpha"'),
+    ("missing-alpha", {"norm": SUP3}, 'problem file is missing "alpha"'),
     ("unknown-key", {"norm": SUP3, "alpha": ALPHA3, "surprise": 1},
      "unknown key(s) in problem file: surprise"),
     ("bad-norm-type", {"norm": {"type": "l2", "dimension": 3}, "alpha": [1.0]},
-     '"norm.type" must be one of'),
+     '"norm.type" must be one of sup, composite, example1_tail, example2'),
     ("blocks-on-sup", {"norm": {**SUP3, "blocks": []}, "alpha": ALPHA3},
      "sup norm takes no blocks"),
     ("composite-without-blocks",
@@ -236,7 +253,7 @@ PARSE_FAILURES = [
      "example1_tail takes neither dimension nor blocks"),
     ("solve-on-tail-norm", {"norm": {"type": "example1_tail"},
                             "alpha": {"rule": "geometric", "ratio": 0.5}},
-     "solve needs a finite-dimensional norm"),
+     "solve needs a finite-dimensional norm, not example1_tail"),
     ("alpha-length-mismatch", {"norm": SUP3, "alpha": [0.5, 0.5]},
      "2 weights against a dimension-3 norm"),
     ("non-number", composite2({"coef": "1", "matrix": [[1.0, 0.0]]}),
@@ -280,14 +297,40 @@ PARSE_FAILURES = [
     ("max-iterations-key", {"norm": SUP3, "alpha": ALPHA3,
                             "max_iterations": 5000},
      "unknown key(s) in problem file: max_iterations"),
+    ("candidate-not-object", {"norm": TAIL, "candidate_w": [0.5]},
+     '"candidate_w" must be an object'),
+    ("candidate-without-tail", {"norm": TAIL, "candidate_w": {"head": []}},
+     '"candidate_w" requires "head" and "tail"'),
+    ("candidate-head-not-list",
+     {"norm": TAIL, "candidate_w": {"head": 0.5, "tail": 0.5}},
+     '"candidate_w.head" must be a list of numbers'),
+    ("unreadable-file", UNREADABLE, Prefix("cannot read ")),
 ]
 
 
 @pytest.mark.parametrize("doc, message", [case[1:] for case in PARSE_FAILURES],
                          ids=[case[0] for case in PARSE_FAILURES])
 def test_solve_parse_failures(tmp_path, capsys, doc, message):
-    assert main(["solve", write_problem(tmp_path, doc)]) == 2
-    assert message in capsys.readouterr().err
+    if doc is UNREADABLE:
+        path = str(tmp_path / "missing.json")
+    else:
+        path = write_problem(tmp_path, doc)
+    assert main(["solve", path]) == 2
+    assert_error_line(capsys.readouterr().err, message)
+
+
+@pytest.mark.parametrize("command", ["solve", "asymptotics"])
+def test_overflowing_block_is_refused_up_front(tmp_path, capsys, command):
+    # 1e300 and 1e10 are each finite, their product is not; the file is
+    # refused with one error line and no numpy warning (a warning fails
+    # the test under the suite's filterwarnings = error)
+    path = write_problem(tmp_path, composite2(
+        {"coef": 1e300, "matrix": [[1e10, 0.0], [0.0, 1.0]]}))
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_error_line(captured.err,
+                      "block coefficient times an entry overflows")
 
 
 def test_solve_missing_alpha_names_the_key(tmp_path, capsys):
@@ -354,12 +397,16 @@ def test_asymptotics_sup_table_is_flat(tmp_path, capsys):
 
 
 def test_asymptotics_tail_norm_report(tmp_path, capsys):
-    path = write_problem(tmp_path, {"norm": {"type": "example1_tail"}})
-    assert main(["asymptotics", path]) == 0
-    out = capsys.readouterr().out
-    assert "norm_value = 2, limit_estimate = 1, consistent = false" in out
-    assert "candidate w: head=(), tail=0.5" in out
-    assert "refutation witness: N = 2, value = 1.5, x: head=(1, 1), tail=0" in out
+    # byte pin: the tail norm's table, check and refutation are plain float
+    # arithmetic, the same on every platform
+    path = write_problem(tmp_path, {"norm": TAIL})
+    assert main(["asymptotics", path, "--n-range", "1..3"]) == 0
+    assert capsys.readouterr().out == (
+        "N,pn_norm,bound\n1,1,1\n2,1,1\n3,1,1\n\n"
+        "liminf check on e: norm_value = 2, limit_estimate = 1,"
+        " consistent = false\n"
+        "candidate w: head=(), tail=0.5\n"
+        "refutation witness: N = 2, value = 1.5, x: head=(1, 1), tail=0\n")
 
 
 def test_asymptotics_honors_candidate(tmp_path, capsys):
@@ -391,11 +438,25 @@ def test_asymptotics_rejects_candidate_on_finite_norm(tmp_path, capsys):
     assert main(["asymptotics", path]) == 2
 
 
-@pytest.mark.parametrize("n_range", ["5..2", "0..3", "abc", "1..2..3"])
-def test_asymptotics_rejects_bad_ranges(tmp_path, capsys, n_range):
-    path = write_problem(tmp_path, {"norm": {"type": "sup", "dimension": 3}})
+RANGE_SHAPE = '--n-range must look like "1..12"'
+RANGE_ORDER = "--n-range needs 1 <= a <= b"
+
+
+@pytest.mark.parametrize("doc, n_range, message", [
+    pytest.param({"norm": SUP3}, "5..2", RANGE_ORDER, id="5..2"),
+    pytest.param({"norm": SUP3}, "0..3", RANGE_ORDER, id="0..3"),
+    pytest.param({"norm": SUP3}, "abc", RANGE_SHAPE, id="abc"),
+    pytest.param({"norm": SUP3}, "1..2..3", RANGE_SHAPE, id="1..2..3"),
+    pytest.param({"norm": SUP3}, "a..b", RANGE_SHAPE, id="a..b"),
+    pytest.param({"norm": TAIL, "alpha": [1.0]}, "1..3",
+                 "example1_tail needs the geometric alpha rule, "
+                 "not a finite list", id="tail-alpha-list"),
+])
+def test_asymptotics_rejects_bad_ranges(tmp_path, capsys, doc, n_range,
+                                        message):
+    path = write_problem(tmp_path, doc)
     assert main(["asymptotics", path, "--n-range", n_range]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert_error_line(capsys.readouterr().err, message)
 
 
 def test_numrange_diagonal_report(tmp_path, capsys):
@@ -430,22 +491,72 @@ def test_numrange_rejects_non_triangular(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# (matrix file text, the message of the error line)
+NUMRANGE_SHAPE_ERRORS = [
+    ("3\n0 0 0\n0 0 0\n", "expected 3 rows, found 2"),
+    ("2\n0 0 0\n0 0\n", "row 1 has 3 entries, expected 2"),
+    ("0\n", "matrix dimension must be positive"),
+]
+
+
 def test_numrange_shape_errors(tmp_path, capsys):
-    bad_rows = write_matrix(tmp_path, "3\n0 0 0\n0 0 0\n", name="rows.txt")
-    assert main(["numrange", bad_rows]) == 5
-    bad_entries = write_matrix(tmp_path, "2\n0 0 0\n0 0\n", name="entries.txt")
-    assert main(["numrange", bad_entries]) == 5
-    capsys.readouterr()
+    for text, message in NUMRANGE_SHAPE_ERRORS:
+        assert main(["numrange", write_matrix(tmp_path, text)]) == 5
+        assert_error_line(capsys.readouterr().err, message)
+
+
+# (matrix file text, or None for a file that is not written; extra flags;
+# the message of the error line)
+NUMRANGE_PARSE_ERRORS = [
+    ("two\n0 0\n0 0\n", [], "first line must be the matrix dimension"),
+    ("1\nfoo\n", [], "bad entry 'foo' at row 1"),
+    ("2\n0 1\n0 0\n", ["--grid", "7"], "--grid must be at least 8"),
+    ("\n \n", [], "matrix file is empty"),
+    ("1\ninf\n", [], "matrix entries must be finite"),
+    (None, [], Prefix("cannot read ")),
+]
 
 
 def test_numrange_parse_errors(tmp_path, capsys):
-    bad_header = write_matrix(tmp_path, "two\n0 0\n0 0\n", name="header.txt")
-    assert main(["numrange", bad_header]) == 2
-    bad_entry = write_matrix(tmp_path, "1\nfoo\n", name="entry.txt")
-    assert main(["numrange", bad_entry]) == 2
-    good = write_matrix(tmp_path, "2\n0 1\n0 0\n", name="good.txt")
-    assert main(["numrange", good, "--grid", "7"]) == 2
-    capsys.readouterr()
+    for text, flags, message in NUMRANGE_PARSE_ERRORS:
+        path = str(tmp_path / "missing.txt")
+        if text is not None:
+            path = write_matrix(tmp_path, text)
+        assert main(["numrange", path] + flags) == 2
+        assert_error_line(capsys.readouterr().err, message)
+
+
+@pytest.mark.parametrize("argv, human_lines", [
+    (["solve", "sup3"], 7),
+    (["numrange", "matrix"], 2),
+    (["asymptotics", "example2", "--n-range", "1..4"], 0),
+    (["asymptotics", "tail", "--n-range", "1..4"], 3),
+], ids=["solve", "numrange", "asymptotics-example2", "asymptotics-tail"])
+def test_report_is_the_csv_file_then_the_human_lines(tmp_path, capsys, argv,
+                                                     human_lines):
+    # stdout is the --csv-out file byte for byte, then, when the command
+    # has a human section, one blank line and that section
+    files = {
+        "sup3": sup3(tmp_path),
+        "matrix": write_matrix(tmp_path, "2\n1 1\n0 2\n"),
+        "example2": write_problem(tmp_path, {"norm": {"type": "example2",
+                                                      "dimension": 2}},
+                                  name="example2.json"),
+        "tail": write_problem(tmp_path, {"norm": TAIL}, name="tail.json"),
+    }
+    argv = [files.get(a, a) for a in argv]
+    csv_path = tmp_path / "out.csv"
+    assert main(argv + ["--csv-out", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    csv = csv_path.read_text(encoding="utf-8")
+    assert csv.endswith("\n") and "\n\n" not in csv
+    assert out.startswith(csv)
+    rest = out[len(csv):].split("\n")
+    if human_lines:
+        assert rest[0] == rest[-1] == "" and all(rest[1:-1])
+        assert len(rest) == human_lines + 2
+    else:
+        assert rest == [""]
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

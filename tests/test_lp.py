@@ -155,9 +155,10 @@ def test_program_validation():
             dual_norm_lmo(SupNorm(2), np.ones(2), gens=gens)
     with pytest.raises(ValueError, match="constraint entries must be finite"):
         dual_norm_lmo(SupNorm(1), np.ones(1), gens=np.array([[np.inf]]))
-    # a coefficient times a block entry overflows, so the expansion holds
-    # inf rows
-    spec = CompositeNorm(((1e300, np.diag([1e10, 1.0])),))
+    # each block's coefficient times its entries stays finite, but the
+    # expansion adds 1e300 * 1e8 from both blocks, so it holds inf rows
+    spec = CompositeNorm(((1e300, np.diag([1e8, 1.0])),
+                          (1e300, np.diag([1e8, 1.0]))))
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="constraint entries must be finite"):
             dual_norm_lmo(spec, np.ones(2))

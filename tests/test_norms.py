@@ -241,6 +241,14 @@ def test_block_validation():
         Block(-1.0, np.eye(2))
     with pytest.raises(ValueError):
         Block(1.0, np.array([1.0, 2.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="block entries must be finite"):
+            Block(1.0, np.array([[1.0, bad], [0.0, 1.0]]))
+    # each number is finite, but the coefficient times an entry is not
+    with pytest.raises(ValueError, match="block coefficient times an entry "
+                                         "overflows"):
+        Block(1e300, np.diag([1e10, 1.0]))
+    Block(1e300, np.diag([1e8, 1.0]))
     with pytest.raises(DimensionMismatch):
         CompositeNorm(((1.0, np.eye(2)), (1.0, np.eye(3))))
 
@@ -276,6 +284,15 @@ def test_dual_norm_rejects_bad_functionals():
         dual_norm_lmo(Example1TailNorm(), np.ones(3))
     with pytest.raises(NotPolyhedral):
         dual_norm_lmo(Example1TailNorm(), np.ones((2, 3)))
+    with pytest.raises(NotPolyhedral, match="Example1TailNorm has no "
+                                            "generator description"):
+        generators(Example1TailNorm())
+    # functionals that bound only the first coordinate leave the LP
+    # unbounded along the second
+    with pytest.raises(LPFailure, match="dual-norm LP ended with status "
+                                        "unbounded"):
+        dual_norm_lmo(SupNorm(2), np.ones(2),
+                      gens=np.array([[1.0, 0.0], [-1.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         dual_norm_lmo(SupNorm(2), [[1.0, 2.0], [3.0]])
     with pytest.raises(DimensionMismatch, match="norm expects 2"):
