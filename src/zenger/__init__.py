@@ -58,7 +58,6 @@ from .asymptotics import (
     geometric_rule,
     liminf_check,
     pn_table,
-    tail_projection_table,
 )
 from .numrange import (
     HullCheck,
@@ -118,6 +117,5 @@ __all__ = [
     "solve_zenger",
     "spectrum_hull_check",
     "support_curve",
-    "tail_projection_table",
     "validate_weights",
 ]

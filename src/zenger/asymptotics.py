@@ -82,8 +82,8 @@ def geometric_alpha(ratio: float, n: int) -> np.ndarray:
 def pn_table(spec_family: Callable[[int], NormSpec], n_range: Iterable[int]) -> PnTable:
     """Operator norm of P_N on each member of a per-N family of norms.
 
-    When the family member is the cascaded-difference norm, the analytic
-    bound 1 + 2^(-N) is attached to the row.
+    The analytic bound, 1 + 2^(-N) for the cascaded-difference norm and 1
+    for the sup-plus-limsup norm, is attached to the row.
     """
     rows = []
     for N in n_range:
@@ -92,7 +92,8 @@ def pn_table(spec_family: Callable[[int], NormSpec], n_range: Iterable[int]) -> 
             raise ValueError("truncation levels are positive integers")
         spec = spec_family(N)
         value = projection_norm(spec, N)
-        bound = 1.0 + 2.0 ** (-N) if isinstance(spec, Example2Norm) else None
+        bound = (1.0 + 2.0 ** (-N) if isinstance(spec, Example2Norm)
+                 else 1.0 if isinstance(spec, Example1TailNorm) else None)
         rows.append(PnRow(N=N, pn_norm=value, bound=bound))
     return PnTable(rows=tuple(rows))
 
@@ -101,22 +102,6 @@ def example2_family(N: int) -> Example2Norm:
     """Ambient dimension N + 1, so truncation at N sees the first dropped
     coordinate and the projection norm reflects the tail penalty."""
     return Example2Norm(N + 1)
-
-
-def tail_projection_table(n_range: Iterable[int]) -> PnTable:
-    """P_N norms for the sup-plus-limsup norm, in closed form.
-
-    ||P_N|| = 1 for every N.  P_N x is finitely supported, so its limsup is
-    0 and norm(P_N x) = sup |P_N x| <= sup |x| <= norm(x); e_1 is fixed by
-    P_N and attains the bound.  The analytic bound 1.0 is attached.
-    """
-    rows = []
-    for N in n_range:
-        N = int(N)
-        if N < 1:
-            raise ValueError("truncation levels are positive integers")
-        rows.append(PnRow(N=N, pn_norm=1.0, bound=1.0))
-    return PnTable(rows=tuple(rows))
 
 
 def liminf_check(spec: NormSpec, x: TailVector, n_range: Iterable[int]) -> LiminfReport:

@@ -29,7 +29,6 @@ from .asymptotics import (
     geometric_rule,
     liminf_check,
     pn_table,
-    tail_projection_table,
 )
 from .core import TailVector, ZengerError
 from .norms import (
@@ -285,9 +284,10 @@ def cmd_asymptotics(args) -> tuple[int, list[str], list[str]]:
     parsed = _load_problem(args.problem)
     spec = parsed.spec
     ns = _parse_n_range(args.n_range)
+    family = example2_family if isinstance(spec, Example2Norm) else (lambda N: spec)
+    table = pn_table(family, ns)
     human: list[str] = []
     if isinstance(spec, Example1TailNorm):
-        table = tail_projection_table(ns)
         if parsed.alpha_list is not None:
             raise ParseError(
                 "example1_tail needs the geometric alpha rule, not a finite list"
@@ -315,10 +315,6 @@ def cmd_asymptotics(args) -> tuple[int, list[str], list[str]]:
                 witness.N, _fmt_h(witness.value), _tail_vector_str(witness.x)
             ),
         ]
-    elif isinstance(spec, Example2Norm):
-        table = pn_table(example2_family, ns)
-    else:
-        table = pn_table(lambda N: spec, ns)
 
     csv_lines = ["N,pn_norm,bound"]
     for row in table.rows:
@@ -353,8 +349,6 @@ def _load_matrix(path: str) -> np.ndarray:
                 out[i, j] = complex(token)
             except ValueError as exc:
                 raise ParseError(f"bad entry {token!r} at row {i + 1}") from exc
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise ParseError("matrix entries must be finite")
     return out
 
 
@@ -422,8 +416,11 @@ def main(argv=None) -> int:
     try:
         code, csv_lines, human = args.handler(args)
         if args.csv_out:
-            with open(args.csv_out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(csv_lines) + "\n")
+            try:
+                with open(args.csv_out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write("\n".join(csv_lines) + "\n")
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.csv_out}: {exc}") from exc
     except Exception as exc:
         for errors, exit_code in _ERROR_CODES:
             if isinstance(exc, errors):

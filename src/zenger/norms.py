@@ -66,13 +66,9 @@ class Block:
         M = np.array(self.matrix, dtype=float)
         if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
             raise ValueError(f"block matrix must be 2-d, got shape {M.shape}")
-        # the largest magnitude is nan or inf exactly when some entry is,
-        # and coef times it overflows exactly when coef times some entry does
-        peak = float(np.abs(M).max())
-        if not math.isfinite(peak):
+        # the largest magnitude is nan or inf exactly when some entry is
+        if not math.isfinite(float(np.abs(M).max())):
             raise ValueError("block entries must be finite")
-        if not math.isfinite(float(self.coef) * peak):
-            raise ValueError("block coefficient times an entry overflows")
         M.setflags(write=False)
         object.__setattr__(self, "coef", float(self.coef))
         object.__setattr__(self, "matrix", M)
@@ -80,7 +76,9 @@ class Block:
 
 @dataclass(frozen=True)
 class CompositeNorm:
-    """sum_j coef_j * max_r |(A_j x)_r| with full-column-rank stacked rows."""
+    """sum_j coef_j * max_r |(A_j x)_r| with full-column-rank stacked rows
+    and a finite sum_j coef_j * max_r ||A_j[r]||_1, which bounds every entry
+    of :func:`generators` and norm(x) for max_k |x_k| <= 1."""
 
     blocks: tuple[Block, ...]
 
@@ -94,6 +92,12 @@ class CompositeNorm:
         for blk in entries:
             if blk.matrix.shape[1] != n:
                 raise DimensionMismatch("blocks disagree on dimension")
+        with np.errstate(over="ignore"):
+            bound = sum(blk.coef * float(np.abs(blk.matrix).sum(axis=1).max())
+                        for blk in entries)
+        if not math.isfinite(bound):
+            raise ValueError("the sum over blocks of coefficient times "
+                             "largest row 1-norm overflows")
         stacked = np.vstack([blk.matrix for blk in entries])
         if np.linalg.matrix_rank(stacked, tol=RANK_TOL) < n:
             raise RankDeficientNorm(
@@ -163,23 +167,10 @@ def _blocks_of(spec: NormSpec) -> tuple[Block, ...]:
         return spec.blocks
     if isinstance(spec, Example2Norm):
         n = spec.dimension
-        second = np.eye(n) - np.outer(spec.weights, _unit(n, 0))
+        second = np.eye(n)
+        second[:, 0] -= spec.weights
         return (Block(1.0, np.eye(n)), Block(1.0, second))
     raise NotPolyhedral(f"{type(spec).__name__} has no generator description")
-
-
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
-
-
-def _check_dense(spec: NormSpec, x) -> np.ndarray:
-    v = as_vector(x)
-    n = norm_dimension(spec)
-    if v.size != n:
-        raise DimensionMismatch(f"vector has length {v.size}, norm expects {n}")
-    return v
 
 
 def eval_norm(spec: NormSpec, x) -> float:
@@ -203,7 +194,10 @@ def eval_norm(spec: NormSpec, x) -> float:
         raise DimensionMismatch(
             "this norm needs a TailVector with an explicit tail constant"
         )
-    v = _check_dense(spec, x)
+    v = as_vector(x)
+    n = norm_dimension(spec)
+    if v.size != n:
+        raise DimensionMismatch(f"vector has length {v.size}, norm expects {n}")
     total = 0.0
     for blk in _blocks_of(spec):
         total += blk.coef * float(np.max(np.abs(blk.matrix @ v)))
@@ -319,9 +313,15 @@ def projection_norm(spec: NormSpec, N: int) -> float:
     N >= dimension (P_N = I) it is exactly 1 with no LP solved.  The moved
     functionals go to :func:`dual_norm_lmo` as one stack, one stacked LP
     over the shared ball.
+
+    On :class:`Example1TailNorm` it is 1 in closed form: P_N x is finitely
+    supported, so its limsup is 0 and norm(P_N x) = sup |P_N x| <= sup |x|
+    <= norm(x); e_1 is fixed by P_N and attains the bound.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    if isinstance(spec, Example1TailNorm):
+        return 1.0
     gens = generators(spec)
     V = gens[np.any(gens[:, N:] != 0.0, axis=1)]
     V[:, N:] = 0.0

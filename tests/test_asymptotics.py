@@ -17,7 +17,7 @@ from zenger import (
     liminf_check,
     pn_table,
     project_PN,
-    tail_projection_table,
+    projection_norm,
 )
 
 
@@ -94,7 +94,7 @@ def test_example2_family_dimension():
 
 
 def test_tail_projection_table_pins_the_ceiling():
-    table = tail_projection_table(range(1, 8))
+    table = pn_table(lambda N: Example1TailNorm(), range(1, 8))
     spec = Example1TailNorm()
     e1 = TailVector(np.array([1.0]), 0.0)
     probes = (e1, TailVector(np.array([]), 1.0),
@@ -107,8 +107,11 @@ def test_tail_projection_table_pins_the_ceiling():
         ratios = [eval_norm(spec, project_PN(u, row.N)) / eval_norm(spec, u)
                   for u in probes]
         assert max(ratios) == ratios[0] == row.pn_norm
+        assert projection_norm(spec, row.N) == 1.0
     with pytest.raises(ValueError):
-        tail_projection_table([0])
+        pn_table(lambda N: Example1TailNorm(), [0])
+    with pytest.raises(ValueError):
+        projection_norm(spec, 0)
 
 
 def test_liminf_fails_on_constant_sequence():

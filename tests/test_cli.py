@@ -321,16 +321,30 @@ def test_solve_parse_failures(tmp_path, capsys, doc, message):
 
 @pytest.mark.parametrize("command", ["solve", "asymptotics"])
 def test_overflowing_block_is_refused_up_front(tmp_path, capsys, command):
-    # 1e300 and 1e10 are each finite, their product is not; the file is
-    # refused with one error line and no numpy warning (a warning fails
-    # the test under the suite's filterwarnings = error)
-    path = write_problem(tmp_path, composite2(
-        {"coef": 1e300, "matrix": [[1e10, 0.0], [0.0, 1.0]]}))
-    assert main([command, path]) == 2
+    # every number is finite, but the coefficient times an entry, or the
+    # sum of two such products across blocks, is not; the file is refused
+    # with one error line and no numpy warning (a warning fails the test
+    # under the suite's filterwarnings = error)
+    for blocks in ([{"coef": 1e300, "matrix": [[1e10, 0.0], [0.0, 1.0]]}],
+                   [{"coef": 1e300, "matrix": [[1e8, 0.0], [0.0, 1.0]]}] * 2):
+        path = write_problem(tmp_path, composite2(*blocks))
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_error_line(captured.err, "the sum over blocks of coefficient "
+                                        "times largest row 1-norm overflows")
+
+
+@pytest.mark.parametrize("command", ["solve", "asymptotics", "numrange"])
+def test_unwritable_csv_out_is_a_parse_error(tmp_path, capsys, command):
+    # the command runs, but its CSV cannot be written to a directory: one
+    # error line, exit 2 and nothing on stdout
+    source = (write_matrix(tmp_path, "2\n1 1\n0 2\n") if command == "numrange"
+              else sup3(tmp_path))
+    assert main([command, source, "--csv-out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert_error_line(captured.err,
-                      "block coefficient times an entry overflows")
+    assert_error_line(captured.err, Prefix(f"cannot write {tmp_path}: "))
 
 
 def test_solve_missing_alpha_names_the_key(tmp_path, capsys):

@@ -54,6 +54,8 @@ def test_norm_dimension():
     assert norm_dimension(Example2Norm(7)) == 7
     assert norm_dimension(CompositeNorm(((1.0, np.eye(2)),))) == 2
     assert norm_dimension(Example1TailNorm()) is None
+    with pytest.raises(TypeError, match="not a norm spec"):
+        norm_dimension(object())
 
 
 def test_tail_norm_on_constant_sequence():
@@ -244,13 +246,27 @@ def test_block_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="block entries must be finite"):
             Block(1.0, np.array([[1.0, bad], [0.0, 1.0]]))
-    # each number is finite, but the coefficient times an entry is not
-    with pytest.raises(ValueError, match="block coefficient times an entry "
-                                         "overflows"):
-        Block(1e300, np.diag([1e10, 1.0]))
-    Block(1e300, np.diag([1e8, 1.0]))
+    for cls in (SupNorm, Example2Norm):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            cls(0)
+    with pytest.raises(ValueError, match="at least one block is required"):
+        CompositeNorm(())
     with pytest.raises(DimensionMismatch):
         CompositeNorm(((1.0, np.eye(2)), (1.0, np.eye(3))))
+    # every number is finite, but the sum over blocks of coefficient times
+    # largest row 1-norm is not: within one block (the coefficient times
+    # an entry, or a row's sum) or only across blocks
+    overflow = "the sum over blocks of coefficient times largest row 1-norm"
+    for blocks in (((1e300, np.diag([1e10, 1.0])),),
+                   ((1e300, [[1e8, 1e8], [0.0, 1.0]]),),
+                   ((1e300, np.diag([1e8, 1.0])), (1e300, np.diag([1e8, 1.0]))),
+                   ((1.0, [[1e308, 1e308], [0.0, 1.0]]),)):
+        with pytest.raises(ValueError, match=overflow):
+            CompositeNorm(blocks)
+    # a block with coef * entry = 1e308 stays accepted, as does Block alone
+    # with any finite coefficient and entries
+    CompositeNorm(((1e300, np.diag([1e8, 1.0])),))
+    Block(1e300, np.diag([1e10, 1.0]))
 
 
 def test_dual_norm_sup_is_l1():

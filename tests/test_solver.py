@@ -672,7 +672,11 @@ def test_lp_names_are_not_exported():
         assert not hasattr(zenger, name), name
         assert hasattr(zenger.lp, name), name
     assert "LPFailure" in zenger.__all__
-    assert len(zenger.__all__) == 48
+    # the tail norm's P_N table is pn_table's, with projection_norm's
+    # closed form
+    assert "tail_projection_table" not in zenger.__all__
+    assert not hasattr(zenger, "tail_projection_table")
+    assert len(zenger.__all__) == 47
 
 
 def test_solver_agrees_with_grid_oracle():
