@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,14 +95,6 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ParseError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-@dataclass
-class ParsedProblem:
-    spec: object
-    alpha_list: np.ndarray | None
-    alpha_ratio: float | None
-    candidate_w: TailVector | None
-
-
 def _parse_norm(obj) -> object:
     if not isinstance(obj, dict):
         raise ParseError('"norm" must be an object')
@@ -150,11 +141,12 @@ def _parse_norm(obj) -> object:
     return CompositeNorm(tuple(blocks))
 
 
-def _parse_alpha(value) -> tuple[np.ndarray | None, float | None]:
+def _parse_alpha(value) -> np.ndarray | float:
+    """The weights of a list, or the ratio of the geometric rule."""
     if isinstance(value, list):
         if not value:
             raise ParseError('"alpha" list must be nonempty')
-        return np.array([_number(x, '"alpha"') for x in value]), None
+        return np.array([_number(x, '"alpha"') for x in value])
     if isinstance(value, dict):
         _check_keys(value, {"rule", "ratio"}, '"alpha"')
         if value.get("rule") != "geometric":
@@ -164,7 +156,7 @@ def _parse_alpha(value) -> tuple[np.ndarray | None, float | None]:
         ratio = _number(value["ratio"], '"alpha.ratio"')
         if not (0.0 < ratio < 1.0):
             raise ParseError('"alpha.ratio" must lie strictly between 0 and 1')
-        return None, ratio
+        return ratio
     raise ParseError('"alpha" must be a list of numbers or a rule object')
 
 
@@ -190,7 +182,10 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_problem(path: str) -> ParsedProblem:
+def _load_problem(path: str) -> tuple[object, np.ndarray | float | None,
+                                      TailVector | None]:
+    """The norm, the weights of ``_parse_alpha`` and the candidate, with
+    None for a key the file leaves out."""
     try:
         doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
@@ -201,20 +196,13 @@ def _load_problem(path: str) -> ParsedProblem:
     if "norm" not in doc:
         raise ParseError('problem file is missing "norm"')
     spec = _parse_norm(doc["norm"])
-    alpha_list = alpha_ratio = None
-    if "alpha" in doc:
-        alpha_list, alpha_ratio = _parse_alpha(doc["alpha"])
+    alpha = _parse_alpha(doc["alpha"]) if "alpha" in doc else None
     candidate_w = None
     if "candidate_w" in doc:
         if not isinstance(spec, Example1TailNorm):
             raise ParseError('"candidate_w" only applies to example1_tail')
         candidate_w = _parse_candidate(doc["candidate_w"])
-    return ParsedProblem(
-        spec=spec,
-        alpha_list=alpha_list,
-        alpha_ratio=alpha_ratio,
-        candidate_w=candidate_w,
-    )
+    return spec, alpha, candidate_w
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -228,17 +216,14 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def cmd_solve(args) -> tuple[int, list[str], list[str]]:
-    parsed = _load_problem(args.problem)
-    spec = parsed.spec
+    spec, alpha, _ = _load_problem(args.problem)
     if isinstance(spec, Example1TailNorm):
         raise ParseError("solve needs a finite-dimensional norm, not example1_tail")
-    if parsed.alpha_list is None and parsed.alpha_ratio is None:
+    if alpha is None:
         raise ParseError('problem file is missing "alpha"')
     n = norm_dimension(spec)
-    if parsed.alpha_list is not None:
-        alpha = parsed.alpha_list
-    else:
-        alpha = geometric_alpha(parsed.alpha_ratio, n)
+    if isinstance(alpha, float):
+        alpha = geometric_alpha(alpha, n)
     problem = ZengerProblem(spec=spec, alpha=alpha)
     pair = solve_zenger(problem)
     cert = certify(pair, problem)
@@ -281,23 +266,19 @@ def _tail_vector_str(x: TailVector) -> str:
 
 
 def cmd_asymptotics(args) -> tuple[int, list[str], list[str]]:
-    parsed = _load_problem(args.problem)
-    spec = parsed.spec
+    spec, alpha, candidate = _load_problem(args.problem)
     ns = _parse_n_range(args.n_range)
     family = example2_family if isinstance(spec, Example2Norm) else (lambda N: spec)
     table = pn_table(family, ns)
     human: list[str] = []
     if isinstance(spec, Example1TailNorm):
-        if parsed.alpha_list is not None:
+        if isinstance(alpha, np.ndarray):
             raise ParseError(
                 "example1_tail needs the geometric alpha rule, not a finite list"
             )
-        ratio = parsed.alpha_ratio if parsed.alpha_ratio is not None else 0.5
-        candidate = (
-            parsed.candidate_w
-            if parsed.candidate_w is not None
-            else TailVector(np.array([]), 0.5)
-        )
+        ratio = 0.5 if alpha is None else alpha
+        if candidate is None:
+            candidate = TailVector(np.array([]), 0.5)
         report = liminf_check(spec, TailVector(np.array([]), 1.0), ns)
         try:
             witness = example1_refute(candidate, geometric_rule(ratio))

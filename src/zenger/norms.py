@@ -177,8 +177,9 @@ def eval_norm(spec: NormSpec, x) -> float:
     """Evaluate the norm on a dense vector or a :class:`TailVector`.
 
     Tail vectors are accepted by the sup norm, the sup+limsup norm, and the
-    weighted-difference norm (whose tail supremum is computed in closed
-    form); dense vectors must match the spec dimension.
+    weighted-difference norm (the dense rule on the head and the first tail
+    entry, or the tail limit, whichever is larger); dense vectors must
+    match the spec dimension.
     """
     if isinstance(x, TailVector):
         if isinstance(spec, SupNorm):
@@ -186,7 +187,11 @@ def eval_norm(spec: NormSpec, x) -> float:
         if isinstance(spec, Example1TailNorm):
             return x.sup + x.limsup
         if isinstance(spec, Example2Norm):
-            return _example2_tail_eval(x)
+            # past the head, x_k - x_1 2^{1-k} moves monotonically toward
+            # the tail constant, so its sup is at k = h + 1 or in the limit
+            h = x.head.size
+            return max(eval_norm(Example2Norm(h + 1), x.prefix(h + 1)),
+                       x.sup + x.limsup)
         raise DimensionMismatch(
             "eventually constant sequences are not supported by this norm"
         )
@@ -202,21 +207,6 @@ def eval_norm(spec: NormSpec, x) -> float:
     for blk in _blocks_of(spec):
         total += blk.coef * float(np.max(np.abs(blk.matrix @ v)))
     return total
-
-
-def _example2_tail_eval(x: TailVector) -> float:
-    # The difference sequence x_k - x_1 2^{1-k} is eventually |c - x_1 t|
-    # with t running down (0, 2^{-H}]; convexity in t puts its sup at an
-    # endpoint.
-    x1 = x.entry(1)
-    h = x.head.size
-    he = max(h, 1)
-    term1 = x.sup
-    term2 = max(abs(x.tail - x1 * 2.0 ** (-he)), abs(x.tail))
-    if h >= 2:
-        diffs = x.head[1:] - x1 * 2.0 ** (-np.arange(1, h))
-        term2 = max(term2, float(np.max(np.abs(diffs))))
-    return term1 + term2
 
 
 def generators(spec: NormSpec) -> np.ndarray:

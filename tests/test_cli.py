@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zenger.cli
 import zenger.solver
 from zenger.cli import main
 
@@ -185,6 +186,18 @@ def test_solve_unreachable_gap_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(zenger.solver, "GAP_TOL", 1e-300)
     assert main(["solve", path]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_unmapped_error_propagates(tmp_path, capsys, monkeypatch):
+    # an error that no entry of _ERROR_CODES matches is a bug, not a
+    # report: main re-raises it and prints nothing
+    def broken(problem):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(zenger.cli, "solve_zenger", broken)
+    with pytest.raises(RuntimeError, match="broken solver"):
+        main(["solve", sup3(tmp_path)])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_solve_generator_blowup(tmp_path, capsys):

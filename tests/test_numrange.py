@@ -1,4 +1,5 @@
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,34 @@ def test_support_function_diagonal_segment():
     assert abs(values[0] - 1.0) <= 1e-12
     assert abs(values[4]) <= 1e-12
     assert abs(values[2]) <= 1e-12
+
+
+def test_support_curve_skips_pivots_zero_across_the_batch():
+    # only pivot (0, 1) of this triangular matrix is ever nonzero, so the
+    # sweep skips (0, 2) and (1, 2) for every angle at once; the range is
+    # the hull of the disk about 1 of radius 1/2 and the point 2, so
+    # h(theta) = max(cos theta + 1/2, 2 cos theta)
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    lines, start = inspect.getsourcelines(_jacobi_batch)
+    skip = start + [line.strip() for line in lines].index("continue")
+    reached = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is _jacobi_batch.__code__:
+            if event == "line" and frame.f_lineno == skip:
+                reached.append(skip)
+            return tracer
+        return None
+
+    sys.settrace(tracer)
+    try:
+        curve = support_curve(A, 64)
+    finally:
+        sys.settrace(None)
+    assert reached
+    want = np.maximum(np.cos(curve.thetas) + 0.5, 2.0 * np.cos(curve.thetas))
+    assert np.max(np.abs(curve.values - want)) <= 1e-12
+    assert spectrum_hull_check(A, curve).ok
 
 
 def test_support_function_nilpotent_disk():

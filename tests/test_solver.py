@@ -240,6 +240,26 @@ def test_nonconvergence_is_raised(monkeypatch):
     assert exc.value.gap > 0.0
 
 
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_barrier_numerical_failure_ends_the_solve(monkeypatch, failure):
+    # a Newton system that cannot be solved, or a step that is not finite,
+    # ends the barrier at its start point; the gap left open there is
+    # raised, as for any other unfinished solve
+    calls = []
+
+    def failing_solve(H, g):
+        calls.append(1)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("singular matrix")
+        return np.full_like(g, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    with pytest.raises(NonConvergence,
+                       match=r"^no convergence, duality gap 5\.353e-01$"):
+        solve_zenger(ZengerProblem(Example2Norm(4), np.full(4, 0.25)))
+    assert len(calls) == 1
+
+
 def test_max_iterations_caps_newton_steps(monkeypatch):
     # NEWTON_BUDGET is read on every solve; a budget of exactly the steps
     # taken changes nothing, and half of it leaves the gap open
